@@ -35,7 +35,6 @@
 #                       produce books, responder state, invoices and a
 #                       slot journal bit-identical to an uninterrupted
 #                       run, race detector on
-#   make bench-clearing scan vs exact Fig. 7(b) clearing-time comparison
 #   make bench-proto    wire-layer benchmarks: codec cost per encoding and
 #                       the concurrent broadcast fan-out vs the serial JSON
 #                       baseline
@@ -44,7 +43,7 @@
 
 GO ?= go
 
-.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash audit-replay bench bench-clearing bench-proto
+.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash audit-replay bench bench-proto
 
 check:
 	./scripts/check.sh
@@ -73,9 +72,6 @@ smoke-crash:
 
 audit-replay:
 	$(GO) test -race -count=1 -v -run 'TestGoldenNetRunJournalReplay' ./internal/audit/
-
-bench-clearing:
-	./scripts/bench-clearing.sh
 
 bench-proto:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkBroadcast' -benchmem ./internal/proto/

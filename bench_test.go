@@ -56,7 +56,7 @@ func BenchmarkFig7aPowerVariation(b *testing.B) { benchExperiment(b, "fig7a") }
 // result). Sub-benchmarks measure one clearing round directly at the
 // paper's operating points — up to 15,000 racks, price steps of 0.1 and 1
 // cents/kW — for both engines: the paper's grid scan and the exact
-// breakpoint-driven search (scripts/bench-clearing.sh compares them).
+// breakpoint-driven search (the fig7b experiment tabulates the comparison).
 func BenchmarkFig7bClearingTime(b *testing.B) {
 	for _, racks := range []int{1500, 5000, 15000} {
 		for _, step := range []float64{0.001, 0.01} {
@@ -118,6 +118,25 @@ func syntheticMarket(racks int) (spotdc.Constraints, []spotdc.Bid) {
 		}})
 	}
 	return cons, bids
+}
+
+// syntheticExtras lays Section III-A extras over a synthetic market: racks
+// striped across the three phases and a 250 W heat-density zone per ten
+// consecutive racks.
+func syntheticExtras(cons spotdc.Constraints) *spotdc.Extras {
+	phases := make(spotdc.PhaseOf, len(cons.RackHeadroom))
+	zones := make([]spotdc.Zone, 0, len(cons.RackHeadroom)/10)
+	for i := range phases {
+		phases[i] = i % 3
+	}
+	for z := 0; z+10 <= len(cons.RackHeadroom); z += 10 {
+		racks := make([]int, 10)
+		for j := range racks {
+			racks[j] = z + j
+		}
+		zones = append(zones, spotdc.Zone{Name: fmt.Sprintf("z%d", z), Racks: racks, MaxWatts: 250})
+	}
+	return &spotdc.Extras{Zones: zones, RackPhase: phases, PhaseImbalance: 0.5}
 }
 
 // Fig. 8: power-performance relation tables.
@@ -203,32 +222,25 @@ func BenchmarkAblationPriceStep(b *testing.B) {
 // Extension benchmarks (beyond the paper's tables/figures).
 
 // Clearing under the Section III-A extras (heat-density zones and phase
-// balance) scans every candidate price with full constraint checks.
+// balance) scans every grid price with full constraint checks.
 func BenchmarkExtrasClearing(b *testing.B) {
 	cons, bids := syntheticMarket(1500)
 	mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: 0.005})
 	if err != nil {
 		b.Fatal(err)
 	}
-	phases := make(spotdc.PhaseOf, len(cons.RackHeadroom))
-	zones := make([]spotdc.Zone, 0, len(cons.RackHeadroom)/10)
-	for i := range phases {
-		phases[i] = i % 3
+	if err := mkt.SetExtras(syntheticExtras(cons)); err != nil {
+		b.Fatal(err)
 	}
-	for z := 0; z+10 <= len(cons.RackHeadroom); z += 10 {
-		racks := make([]int, 10)
-		for j := range racks {
-			racks[j] = z + j
-		}
-		zones = append(zones, spotdc.Zone{Name: fmt.Sprintf("z%d", z), Racks: racks, MaxWatts: 250})
-	}
-	if err := mkt.SetExtras(&spotdc.Extras{Zones: zones, RackPhase: phases, PhaseImbalance: 0.5}); err != nil {
+	// Warm up the market-owned scratch: steady state is what a market that
+	// clears every slot pays.
+	if _, err := mkt.Clear(bids); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mkt.ClearWithExtras(bids); err != nil {
+		if _, err := mkt.Clear(bids); err != nil {
 			b.Fatal(err)
 		}
 	}

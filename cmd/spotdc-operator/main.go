@@ -78,7 +78,6 @@ func main() {
 	slotSeconds := flag.Int("slot-seconds", 10, "market slot length in seconds (paper: 60-300; short for demos)")
 	slots := flag.Int("slots", 0, "stop after this many slots (0 = run forever)")
 	seed := flag.Int64("seed", 42, "background power trace seed")
-	algorithm := flag.String("algorithm", "auto", "clearing engine: auto, scan or exact")
 	wire := flag.String("wire", "any", "accepted wire encodings: any, json or binary")
 	sessionTTL := flag.Duration("session-ttl", 0, "expire tenant sessions idle longer than this (0 = library default)")
 	bidWindow := flag.Int("bid-window", 0, "accept bids at most this many slots ahead (0 = library default)")
@@ -103,10 +102,6 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose: per-slot results and protocol diagnostics (default: quiet)")
 	flag.Parse()
 
-	algo, err := spotdc.ParseClearingAlgorithm(*algorithm)
-	if err != nil {
-		log.Fatal(err)
-	}
 	wirePolicy, err := spotdc.ParseMarketWirePolicy(*wire)
 	if err != nil {
 		log.Fatal(err)
@@ -214,7 +209,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mktOpts := spotdc.MarketOptions{PriceStep: 0.001, Algorithm: algo, Metrics: mktMet}
+	mktOpts := spotdc.MarketOptions{PriceStep: 0.001, Metrics: mktMet}
 	var auditor *spotdc.Auditor
 	if *auditRun {
 		auditor = &spotdc.Auditor{OnViolation: func(v error) {

@@ -34,7 +34,6 @@ func main() {
 	traceCSV := flag.String("trace-csv", "", "write the UPS power trace to this CSV file")
 	configPath := flag.String("config", "", "load a declarative scenario JSON instead of using flags")
 	invoices := flag.Bool("invoices", false, "print per-tenant invoices after the run")
-	algorithm := flag.String("algorithm", "auto", "clearing engine: auto, scan or exact")
 	flag.Parse()
 
 	var sc spotdc.Scenario
@@ -57,17 +56,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		algo, err := spotdc.ParseClearingAlgorithm(*algorithm)
-		if err != nil {
-			log.Fatal(err)
-		}
 		tb := spotdc.TestbedOptions{
 			Seed:            *seed,
 			Slots:           *slots,
 			CapacityScale:   *capacityScale,
 			UnderPrediction: *underPrediction,
 			Policy:          pol,
-			Algorithm:       algo,
 		}
 		switch *scenario {
 		case "testbed":

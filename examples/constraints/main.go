@@ -39,7 +39,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		res, err := mkt.ClearWithExtras(bids)
+		res, err := mkt.Clear(bids)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 
-	"spotdc/internal/core"
 	"spotdc/internal/sim"
 	"spotdc/internal/tenant"
 )
@@ -45,9 +44,6 @@ type Scenario struct {
 	CapacityScale float64 `json:"capacity_scale,omitempty"`
 	// PriceStep is the clearing scan granularity in $/kW·h.
 	PriceStep float64 `json:"price_step,omitempty"`
-	// Algorithm selects the clearing engine: "auto" (default; exact when
-	// bids expose their breakpoints), "scan" or "exact".
-	Algorithm string `json:"algorithm,omitempty"`
 	// UnderPrediction is the Fig. 17 conservative prediction factor.
 	UnderPrediction float64 `json:"under_prediction,omitempty"`
 	// Tenants and JitterFrac apply to kind "scaled".
@@ -93,9 +89,6 @@ func (c *Scenario) Validate() error {
 	if c.BidLossProb < 0 || c.BidLossProb > 1 {
 		return fmt.Errorf("%w: bid_loss_prob %v outside [0,1]", ErrConfig, c.BidLossProb)
 	}
-	if _, err := core.ParseAlgorithm(c.Algorithm); err != nil {
-		return fmt.Errorf("%w: %v", ErrConfig, err)
-	}
 	return nil
 }
 
@@ -137,10 +130,6 @@ func (c *Scenario) Build() (sim.Scenario, error) {
 	if err != nil {
 		return sim.Scenario{}, err
 	}
-	algo, err := core.ParseAlgorithm(c.Algorithm)
-	if err != nil {
-		return sim.Scenario{}, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
 	tb := sim.TestbedOptions{
 		Seed:                c.Seed,
 		Slots:               c.Slots,
@@ -153,7 +142,6 @@ func (c *Scenario) Build() (sim.Scenario, error) {
 		Policy:              pol,
 		CapacityScale:       c.CapacityScale,
 		PriceStep:           c.PriceStep,
-		Algorithm:           algo,
 		UnderPrediction:     c.UnderPrediction,
 	}
 	var sc sim.Scenario

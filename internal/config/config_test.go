@@ -103,6 +103,16 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 	if _, err := Read(strings.NewReader(`not json`)); !errors.Is(err, ErrConfig) {
 		t.Errorf("garbage accepted: %v", err)
 	}
+	// The clearing engine is no longer configurable: a file still carrying
+	// the retired "algorithm" key is a typo like any other.
+	for _, stale := range []string{
+		`{"kind":"testbed","slots":10,"algorithm":"scan"}`,
+		`{"kind":"custom","custom":{"slots":1,"ups_capacity":1,"algorithm":"exact"}}`,
+	} {
+		if _, err := Read(strings.NewReader(stale)); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "algorithm") {
+			t.Errorf("retired algorithm key: err = %v, want an ErrConfig naming it", err)
+		}
+	}
 	if _, err := Read(strings.NewReader(`{"kind":"testbed","slots":0}`)); !errors.Is(err, ErrConfig) {
 		t.Errorf("invalid values accepted: %v", err)
 	}

@@ -34,8 +34,6 @@ type Custom struct {
 	Others []CustomOther `json:"others,omitempty"`
 	// PriceStep is the clearing scan granularity.
 	PriceStep float64 `json:"price_step,omitempty"`
-	// Algorithm selects the clearing engine: "auto", "scan" or "exact".
-	Algorithm string `json:"algorithm,omitempty"`
 	// UnderPrediction is the conservative prediction factor.
 	UnderPrediction float64 `json:"under_prediction,omitempty"`
 }
@@ -119,9 +117,6 @@ func (c *Custom) Validate() error {
 		return fmt.Errorf("%w: no racks", ErrConfig)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("%w: no tenants", ErrConfig)
-	}
-	if _, err := core.ParseAlgorithm(c.Algorithm); err != nil {
-		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	rackIDs := map[string]bool{}
 	for _, r := range c.Racks {
@@ -230,10 +225,6 @@ func (c *Custom) Build() (sim.Scenario, error) {
 	priceStep := c.PriceStep
 	if priceStep == 0 {
 		priceStep = 0.001
-	}
-	algo, err := core.ParseAlgorithm(c.Algorithm)
-	if err != nil {
-		return sim.Scenario{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	pdus := make([]power.PDU, len(c.PDUs))
 	for i, p := range c.PDUs {
@@ -372,7 +363,7 @@ func (c *Custom) Build() (sim.Scenario, error) {
 		OtherLeasedWatts: otherLeased,
 		Slots:            c.Slots,
 		SlotSeconds:      slotSec,
-		MarketOptions:    core.Options{PriceStep: priceStep, Ration: true, Algorithm: algo},
+		MarketOptions:    core.Options{PriceStep: priceStep, Ration: true},
 		Pricing:          operator.DefaultPricing(),
 		Predict:          power.PredictOptions{UnderPredictionFactor: c.UnderPrediction},
 		BreakerTolerance: 0.05,

@@ -145,9 +145,7 @@ func (m *Market) auditClear(aud *Auditor, bids []Bid, res Result) {
 		aud.report(fmt.Errorf("core: audit: revenue rate %v $/h, want price×watts/1000 = %v $/h (Δ %v)",
 			res.RevenueRate, wantRev, d))
 	}
-	if m.extras != nil {
-		if err := m.VerifyExtras(res.Allocations); err != nil {
-			aud.report(fmt.Errorf("core: audit: %w", err))
-		}
+	if err := m.VerifyExtras(res.Allocations); err != nil {
+		aud.report(fmt.Errorf("core: audit: %w", err))
 	}
 }

@@ -516,14 +516,11 @@ func (m *Market) verifyCandidates(bids []Bid, prices []float64) (watts []float64
 	watts = f64s(sc.watts, len(prices))
 	ok = bools(sc.ok, len(prices))
 	sc.watts, sc.ok = watts, ok
-	workers := m.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			// Keep the parallel path exercised (and race-checked) even on
-			// single-core hosts; two goroutines cost next to nothing.
-			workers = 2
-		}
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 2 {
+		// Keep the parallel path exercised (and race-checked) even on
+		// single-core hosts; two goroutines cost next to nothing.
+		workers = 2
 	}
 	if workers > len(prices) {
 		workers = len(prices)
@@ -540,12 +537,6 @@ func (m *Market) verifyCandidates(bids []Bid, prices []float64) (watts []float64
 			return
 		}
 		watts[i], ok[i] = m.feasibleInto(buf, bids, prices[i])
-	}
-	if workers <= 1 {
-		for i := range prices {
-			evalOne(sc.verifyBufs[0], i)
-		}
-		return watts, ok
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

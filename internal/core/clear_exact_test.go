@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -398,9 +399,11 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-// The exact engine with Workers forced to various counts returns identical
-// results — the parallel candidate verification is deterministic.
+// The exact engine returns identical results whatever GOMAXPROCS (from which
+// verifyCandidates derives its worker count) is — the parallel candidate
+// verification is deterministic.
 func TestExactDeterministicAcrossWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(7))
 	cons := twoPDUConstraints(80, 90, 150)
 	var bids []Bid
@@ -409,7 +412,8 @@ func TestExactDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var ref Result
 	for i, workers := range []int{1, 2, 4, 8} {
-		m, err := NewMarket(cons, Options{PriceStep: 0.001, Algorithm: AlgorithmExact, Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		m, err := NewMarket(cons, Options{PriceStep: 0.001, Algorithm: AlgorithmExact})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +426,7 @@ func TestExactDeterministicAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if res.Price != ref.Price || res.RevenueRate != ref.RevenueRate || res.TotalWatts != ref.TotalWatts {
-			t.Errorf("workers=%d: result (%v, %v, %v) != workers=1 (%v, %v, %v)",
+			t.Errorf("GOMAXPROCS=%d: result (%v, %v, %v) != GOMAXPROCS=1 (%v, %v, %v)",
 				workers, res.Price, res.RevenueRate, res.TotalWatts, ref.Price, ref.RevenueRate, ref.TotalWatts)
 		}
 	}

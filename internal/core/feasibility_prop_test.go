@@ -182,8 +182,8 @@ func TestValidateBidsRejectsDuplicateRack(t *testing.T) {
 	if _, err := mkt.Clear(dup); err == nil {
 		t.Fatal("duplicate-rack bid set cleared")
 	}
-	if _, err := mkt.ClearWithExtras(dup); err == nil {
-		t.Fatal("duplicate-rack bid set cleared with extras")
+	if _, err := mkt.ClearPerPDU(dup); err == nil {
+		t.Fatal("duplicate-rack bid set cleared per PDU")
 	}
 	// The epoch-marked buffer must not leak marks across calls: the same
 	// racks, deduplicated, clear fine immediately afterwards.

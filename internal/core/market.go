@@ -119,11 +119,9 @@ type Options struct {
 	Ration bool
 	// Algorithm selects the clearing engine; the zero value (AlgorithmAuto)
 	// uses the exact breakpoint-driven engine whenever the bids permit it.
+	// Installed Extras override the selection: they always clear on the
+	// grid (see SetExtras).
 	Algorithm Algorithm
-	// Workers caps the goroutines the exact engine uses to verify candidate
-	// prices (each worker gets its own scratch buffers). 0 uses
-	// runtime.GOMAXPROCS; 1 forces serial evaluation.
-	Workers int
 	// Metrics, if non-nil, receives per-clearing instrumentation (duration,
 	// candidate evaluations, engine, price/revenue/watts). Observation is a
 	// handful of atomic updates on pre-registered handles, preserving the
@@ -168,10 +166,10 @@ type Result struct {
 	// included so callers can observe priced-out racks).
 	//
 	// Ownership: the slice is backed by the Market's reusable scratch buffer
-	// and is valid only until the next Clear/ClearWithExtras call on the
-	// same Market. Callers that retain grants across clearings must copy
-	// (the market loop broadcasts and the simulator consumes grants within
-	// the slot, so the steady-state clearing path allocates nothing).
+	// and is valid only until the next Clear call on the same Market.
+	// Callers that retain grants across clearings must copy (the market loop
+	// broadcasts and the simulator consumes grants within the slot, so the
+	// steady-state clearing path allocates nothing).
 	Allocations []Allocation
 	// TotalWatts is the total spot capacity sold.
 	TotalWatts float64
@@ -186,7 +184,7 @@ type Result struct {
 	// verification of the analytically chosen candidates).
 	Evaluations int
 	// Algorithm records which engine produced the result (never
-	// AlgorithmAuto: auto resolves to scan or exact per clearing).
+	// AlgorithmAuto: Clear resolves to scan or exact per clearing).
 	Algorithm Algorithm
 }
 
@@ -208,9 +206,12 @@ type Market struct {
 	pduScale []float64
 	// auditLoad is the inline auditor's per-PDU accumulation scratch.
 	auditLoad []float64
-	// rackLoad is VerifyFeasible's per-rack accumulation scratch (grants
-	// for the same rack must jointly respect its headroom).
+	// rackLoad is the per-rack accumulation scratch of VerifyFeasible and
+	// VerifyExtras (grants for the same rack count jointly).
 	rackLoad []float64
+	// phaseLoad is VerifyExtras' per-PDU three-phase accumulation scratch
+	// (index pdu*3+phase).
+	phaseLoad []float64
 	// rackSeen/rackEpoch implement O(1) duplicate-rack detection in Clear's
 	// validation pass without clearing a buffer per call: a rack is "seen
 	// this clearing" iff rackSeen[rack] == rackEpoch.
@@ -223,6 +224,11 @@ type Market struct {
 	// traceParent is the span Clear's clear span parents under; set per
 	// slot by SetTraceParent, nil outside an instrumented slot.
 	traceParent *otrace.Span
+	// sub is ClearPerPDU's reusable single-PDU market (built on first use;
+	// it shares the rack arrays and owns its PDUSpot); subBids holds the
+	// bids partitioned by PDU, each slice keeping its capacity across calls.
+	sub     *Market
+	subBids [][]Bid
 }
 
 // SetTraceParent sets the parent span for the clear spans opened by Clear
@@ -353,11 +359,6 @@ func (m *Market) rationedInto(pduLoad []float64, bids []Bid, price float64) floa
 	return total
 }
 
-// rationedAt is rationedInto over the market's shared scratch buffer.
-func (m *Market) rationedAt(bids []Bid, price float64) float64 {
-	return m.rationedInto(m.pduLoad, bids, price)
-}
-
 // rationedAllocations materializes the per-rack grants at a price under
 // proportional rationing, into the market-owned allocation buffer.
 func (m *Market) rationedAllocations(bids []Bid, price float64) ([]Allocation, float64) {
@@ -416,15 +417,19 @@ func (m *Market) feasibleAt(bids []Bid, price float64) bool {
 }
 
 // Clear runs the market: it finds the uniform price maximizing the
-// operator's revenue q·ΣD_r(q) (Eqn. 1) over feasible prices. The engine is
-// selected by Options.Algorithm: the exact breakpoint-driven search (the
-// default when every bid exposes its piece-wise linear structure) or the
-// Section III-C grid scan at PriceStep granularity. Bids referencing
-// out-of-range racks are rejected.
+// operator's revenue q·ΣD_r(q) (Eqn. 1) over the prices that satisfy every
+// installed constraint — Eqns. (2)–(4) and, when SetExtras installed them,
+// the heat-density zones and phase balance. It is the only function that
+// searches prices. The engine follows from what the market holds: installed
+// Extras clear on the Section III-C grid at PriceStep granularity (their
+// feasibility is not monotone in price), as do Options.Algorithm ==
+// AlgorithmScan and bids that do not expose their piece-wise linear
+// structure; everything else runs the exact breakpoint-driven search. Bids
+// referencing out-of-range racks are rejected.
 //
 // The returned Result.Allocations slice is owned by the Market and valid
-// only until the next Clear/ClearWithExtras call; copy it to retain grants
-// across clearings.
+// only until the next Clear call; copy it to retain grants across
+// clearings.
 func (m *Market) Clear(bids []Bid) (Result, error) {
 	met := m.opts.Metrics
 	var start time.Time
@@ -442,15 +447,7 @@ func (m *Market) Clear(bids []Bid) (Result, error) {
 		}
 		return Result{}, err
 	}
-	var res Result
-	switch {
-	case m.opts.Algorithm == AlgorithmScan:
-		res = m.clearScan(bids)
-	case breakpointable(bids): // AlgorithmExact or AlgorithmAuto
-		res = m.clearExact(bids)
-	default:
-		res = m.clearScan(bids)
-	}
+	res := m.search(bids)
 	if met != nil {
 		met.observeClear(res, time.Since(start))
 	}
@@ -465,6 +462,20 @@ func (m *Market) Clear(bids []Bid) (Result, error) {
 	}
 	return res, nil
 }
+
+// search picks the engine for already-validated bids and runs it.
+func (m *Market) search(bids []Bid) Result {
+	if m.extras != nil || m.opts.Algorithm == AlgorithmScan || !breakpointable(bids) {
+		return m.clearScan(bids)
+	}
+	return m.clearExact(bids)
+}
+
+// rations reports whether this clearing rations over-demanded PDUs.
+// Installed Extras clear strictly even on a Ration market: proportional
+// scaling would have to be re-balanced per zone and phase, which the paper
+// does not define (see SetExtras).
+func (m *Market) rations() bool { return m.opts.Ration && m.extras == nil }
 
 // validateBids rejects out-of-range racks, nil demand functions, and
 // duplicate racks. A rack gets exactly one demand function per slot (b_r in
@@ -535,6 +546,12 @@ func (m *Market) maxBidPrice(bids []Bid) float64 {
 // floor + i·PriceStep (integer-indexed, so thousands of iterations cannot
 // drift off-grid the way a floating-point accumulator would), and the
 // binary-searched feasibility boundary is snapped up to the same grid.
+//
+// Installed Extras make feasibility non-monotone in price (a high price can
+// drop one phase's bidders entirely and unbalance the rest), so there is no
+// frontier to bisect: the scan then starts at the floor and tests every
+// grid price against Eqns. (2)–(4) and the extras, keeping the best one
+// that passes.
 func (m *Market) clearScan(bids []Bid) Result {
 	floor := m.priceFloor()
 	res := Result{Price: floor, Algorithm: AlgorithmScan}
@@ -544,10 +561,11 @@ func (m *Market) clearScan(bids []Bid) Result {
 	// The revenue is zero above every bid's maximum price; cap the scan.
 	hi := m.maxBidPrice(bids)
 	step := m.opts.step()
+	ration := m.rations()
 
 	loIdx := 0
 	evals := 0
-	if !m.opts.Ration {
+	if !ration && m.extras == nil {
 		// Feasibility is monotone in price, so binary-search the lowest
 		// feasible price to step resolution, then scan only feasible
 		// prices.
@@ -582,27 +600,28 @@ func (m *Market) clearScan(bids []Bid) Result {
 		}
 	}
 
-	served := m.servedAt
-	if m.opts.Ration {
-		served = m.rationedAt
-	}
-	bestPrice, bestRevenue, bestWatts := floor+float64(loIdx)*step, -1.0, 0.0
+	bestPrice, bestRevenue, bestWatts := floor, -1.0, 0.0
 	for i := loIdx; ; i++ {
 		q := floor + float64(i)*step
 		if q > hi+step/2 {
+			if bestRevenue < 0 {
+				// No price in range passes (or the lowest feasible price
+				// already exceeds every max price): the market idles at
+				// the first grid price past the range, where demand — and
+				// hence every constraint load — is zero.
+				bestPrice, bestRevenue = q, 0
+			}
 			break
 		}
 		evals++
-		watts := served(bids, q)
+		watts, ok := m.gridWatts(bids, q, ration)
+		if !ok {
+			continue
+		}
 		rev := q * watts / 1000 // $/kW·h × kW = $/h
 		if rev > bestRevenue+revEps {
 			bestPrice, bestRevenue, bestWatts = q, rev, watts
 		}
-	}
-	if bestRevenue < 0 {
-		// Even the lowest feasible price exceeds every max price: nothing
-		// sells.
-		bestRevenue, bestWatts = 0, 0
 	}
 
 	res.Price = bestPrice
@@ -610,23 +629,49 @@ func (m *Market) clearScan(bids []Bid) Result {
 	return m.materialize(res, bids, bestWatts, bestRevenue)
 }
 
+// gridWatts returns the watts the scan sells at grid price q and whether q
+// is admissible. Without extras every scanned price is (rationing always
+// fits; strict prices lie past the bisected frontier). With extras, q must
+// fit Eqns. (3)–(4) and its tentative grants must pass the zone and phase
+// checks of VerifyExtras.
+func (m *Market) gridWatts(bids []Bid, q float64, ration bool) (float64, bool) {
+	switch {
+	case ration:
+		return m.rationedInto(m.pduLoad, bids, q), true
+	case m.extras == nil:
+		return m.servedAt(bids, q), true
+	}
+	watts, ok := m.feasibleInto(m.pduLoad, bids, q)
+	if ok {
+		_, ok = m.checkExtras(m.strictAllocations(bids, q))
+	}
+	return watts, ok
+}
+
+// strictAllocations materializes the un-rationed per-rack grants at a price
+// (demand clamped to rack headroom) into the market-owned buffer.
+func (m *Market) strictAllocations(bids []Bid, price float64) []Allocation {
+	allocs := m.allocs(len(bids))
+	for i, b := range bids {
+		d := b.Fn.Demand(price)
+		if hr := m.cons.RackHeadroom[b.Rack]; d > hr {
+			d = hr
+		}
+		allocs[i] = Allocation{Rack: b.Rack, Tenant: b.Tenant, Watts: d}
+	}
+	return allocs
+}
+
 // materialize fills the allocations of a result whose Price is decided.
 func (m *Market) materialize(res Result, bids []Bid, watts, revenue float64) Result {
-	if m.opts.Ration {
+	if m.rations() {
 		res.Allocations, res.TotalWatts = m.rationedAllocations(bids, res.Price)
 		res.RevenueRate = res.Price * res.TotalWatts / 1000
 		return res
 	}
 	res.TotalWatts = watts
 	res.RevenueRate = revenue
-	res.Allocations = m.allocs(len(bids))
-	for i, b := range bids {
-		d := b.Fn.Demand(res.Price)
-		if hr := m.cons.RackHeadroom[b.Rack]; d > hr {
-			d = hr
-		}
-		res.Allocations[i] = Allocation{Rack: b.Rack, Tenant: b.Tenant, Watts: d}
-	}
+	res.Allocations = m.strictAllocations(bids, res.Price)
 	return res
 }
 
@@ -677,31 +722,46 @@ func (m *Market) VerifyFeasible(allocs []Allocation) error {
 // raising the cheapest PDU's price step-by-step until the total fits. The
 // paper's single uniform price is simpler and is what SpotDC deploys; this
 // exists to quantify the gap.
+//
+// Each PDU's result is what Clear returns for that PDU's bids on a market
+// whose only spot capacity is that PDU's: the same price search, run on one
+// reused single-PDU market. The ablation covers Eqns. (2)–(4) only —
+// installed Extras are not consulted, and the per-PDU clearings are audited
+// (Options.Audit) but not observed by Options.Metrics or traced. Unlike
+// Clear, the returned results own their Allocations.
 func (m *Market) ClearPerPDU(bids []Bid) ([]Result, error) {
-	byPDU := make([][]Bid, len(m.cons.PDUSpot))
-	for _, b := range bids {
-		if b.Rack < 0 || b.Rack >= len(m.cons.RackHeadroom) {
-			return nil, fmt.Errorf("%w: bid references rack %d of %d", ErrConstraints, b.Rack, len(m.cons.RackHeadroom))
-		}
-		pdu := m.cons.RackPDU[b.Rack]
-		byPDU[pdu] = append(byPDU[pdu], b)
+	if err := m.validateBids(bids); err != nil {
+		return nil, err
 	}
-	results := make([]Result, len(byPDU))
-	for pdu, pb := range byPDU {
-		sub, err := NewMarket(Constraints{
-			RackHeadroom: m.cons.RackHeadroom,
-			RackPDU:      m.cons.RackPDU,
-			PDUSpot:      isolatedSpot(m.cons.PDUSpot, pdu),
-			UPSSpot:      m.cons.PDUSpot[pdu],
-		}, m.opts)
-		if err != nil {
-			return nil, err
+	nPDU := len(m.cons.PDUSpot)
+	if m.sub == nil {
+		cons := m.cons
+		cons.PDUSpot = make([]float64, nPDU)
+		m.sub = &Market{cons: cons, opts: m.opts, pduLoad: make([]float64, nPDU)}
+		m.subBids = make([][]Bid, nPDU)
+	}
+	sub, byPDU := m.sub, m.subBids
+	for p := range byPDU {
+		byPDU[p] = byPDU[p][:0]
+	}
+	for _, b := range bids {
+		p := m.cons.RackPDU[b.Rack]
+		byPDU[p] = append(byPDU[p], b)
+	}
+
+	results := make([]Result, nPDU)
+	grants := make([]Allocation, 0, len(bids)) // one backing array for every result
+	for p, pb := range byPDU {
+		spot := m.cons.PDUSpot[p]
+		sub.cons.PDUSpot[p], sub.cons.UPSSpot = spot, spot
+		r := sub.search(pb)
+		if aud := m.opts.Audit; aud != nil {
+			sub.auditClear(aud, pb, r)
 		}
-		r, err := sub.Clear(pb)
-		if err != nil {
-			return nil, err
-		}
-		results[pdu] = r
+		sub.cons.PDUSpot[p] = 0
+		grants = append(grants, r.Allocations...)
+		r.Allocations = grants[len(grants)-len(pb) : len(grants) : len(grants)]
+		results[p] = r
 	}
 	// Enforce the UPS constraint by pricing up the cheapest PDU.
 	step := m.opts.step()
@@ -713,41 +773,30 @@ func (m *Market) ClearPerPDU(bids []Bid) ([]Result, error) {
 		if total <= m.cons.UPSSpot+feasEps {
 			break
 		}
-		cheapest, found := -1, false
+		cheapest := -1
 		for pdu, r := range results {
-			if r.TotalWatts <= 0 {
-				continue
-			}
-			if !found || r.Price < results[cheapest].Price {
-				cheapest, found = pdu, true
+			if r.TotalWatts > 0 && (cheapest < 0 || r.Price < results[cheapest].Price) {
+				cheapest = pdu
 			}
 		}
-		if !found {
+		if cheapest < 0 {
 			break
 		}
-		newPrice := results[cheapest].Price + step
-		results[cheapest] = m.reallocateAt(byPDU[cheapest], newPrice)
+		m.repriceAt(&results[cheapest], byPDU[cheapest], results[cheapest].Price+step)
 	}
 	return results, nil
 }
 
-func isolatedSpot(pduSpot []float64, keep int) []float64 {
-	out := make([]float64, len(pduSpot))
-	out[keep] = pduSpot[keep]
-	return out
-}
-
-// reallocateAt recomputes a per-PDU result at a forced price.
-func (m *Market) reallocateAt(bids []Bid, price float64) Result {
-	res := Result{Price: price, Allocations: make([]Allocation, len(bids))}
+// repriceAt recomputes a per-PDU result in place at a forced price.
+func (m *Market) repriceAt(res *Result, bids []Bid, price float64) {
+	res.Price, res.TotalWatts = price, 0
 	for i, b := range bids {
 		d := b.Fn.Demand(price)
 		if hr := m.cons.RackHeadroom[b.Rack]; d > hr {
 			d = hr
 		}
-		res.Allocations[i] = Allocation{Rack: b.Rack, Tenant: b.Tenant, Watts: d}
+		res.Allocations[i].Watts = d
 		res.TotalWatts += d
 	}
 	res.RevenueRate = price * res.TotalWatts / 1000
-	return res
 }

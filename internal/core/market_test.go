@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -431,6 +433,69 @@ func TestClearPerPDU(t *testing.T) {
 	}
 	if _, err := m.ClearPerPDU([]Bid{{Rack: 42, Fn: StepBid{D: 1, QMax: 1}}}); !errors.Is(err, ErrConstraints) {
 		t.Error("bad rack accepted")
+	}
+}
+
+// Each PDU's result is exactly what a standalone Clear returns for that
+// PDU's bids on a market whose only spot is that PDU's — for both engines,
+// with interleaved bid order, an empty PDU, and repeated calls on the same
+// (scratch-reusing) market.
+func TestClearPerPDUEqualsStandaloneClear(t *testing.T) {
+	cons := Constraints{
+		RackHeadroom: []float64{60, 50, 60, 50, 60, 60, 60, 50, 60},
+		RackPDU:      []int{0, 0, 0, 1, 1, 1, 2, 2, 3},
+		PDUSpot:      []float64{70, 90, 0, 40}, // PDU 2 has bids but no spot
+		UPSSpot:      1000,                     // not binding: no price-up pass
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, algo := range []Algorithm{AlgorithmAuto, AlgorithmScan} {
+		m, err := NewMarket(cons, Options{PriceStep: 0.001, Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 20; round++ {
+			var bids []Bid
+			for _, r := range rng.Perm(8) { // rack 8 (PDU 3) never bids
+				if rng.Float64() < 0.2 {
+					continue
+				}
+				b := randomBid(rng, r)
+				b.Tenant = fmt.Sprint("t", r)
+				bids = append(bids, b)
+			}
+			results, err := m.ClearPerPDU(bids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pdu, got := range results {
+				var own []Bid
+				for _, b := range bids {
+					if cons.RackPDU[b.Rack] == pdu {
+						own = append(own, b)
+					}
+				}
+				iso := cons
+				iso.PDUSpot = make([]float64, len(cons.PDUSpot))
+				iso.PDUSpot[pdu], iso.UPSSpot = cons.PDUSpot[pdu], cons.PDUSpot[pdu]
+				alone, err := NewMarket(iso, Options{PriceStep: 0.001, Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := alone.Clear(own)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Allocations) == 0 {
+					want.Allocations = nil
+				}
+				if len(got.Allocations) == 0 {
+					got.Allocations = nil
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v round %d PDU %d:\n per-PDU    %+v\n standalone %+v", algo, round, pdu, got, want)
+				}
+			}
+		}
 	}
 }
 

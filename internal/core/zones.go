@@ -7,8 +7,10 @@ import "fmt"
 // load) and phase balance (keeping the three phases of a PDU/UPS within a
 // tolerance of each other) — can be incorporated into spot capacity
 // allocation following the power-routing model [9]. This file adds both as
-// optional extensions of Constraints; they participate in feasibility,
-// rationing, allocation verification, and MaxPerf.
+// optional extensions of Constraints: once installed with SetExtras they are
+// part of the constraint set Clear searches under and VerifyExtras (and the
+// inline Auditor) checks. They do not participate in rationing, ClearPerPDU
+// or MaxPerf.
 
 // Zone is a heat-density (cooling) constraint: the summed spot capacity
 // granted to its racks must not exceed MaxWatts, independent of PDU
@@ -75,7 +77,13 @@ func (c Constraints) validateExtras(e *Extras) error {
 	return nil
 }
 
-// SetExtras installs (or clears, with nil) the optional constraints.
+// SetExtras installs (or clears, with nil) the optional constraints. While
+// installed, every Clear honours them: prices are searched on the PriceStep
+// grid (Result.Algorithm is AlgorithmScan whatever Options.Algorithm says,
+// because zone/phase feasibility is not monotone in price and can change
+// strictly inside a breakpoint segment), and clearing is strict even when
+// Options.Ration is set — no price is accepted unless the un-rationed
+// grants fit Eqns. (2)–(4) and the extras.
 func (m *Market) SetExtras(e *Extras) error {
 	if err := m.cons.validateExtras(e); err != nil {
 		return err
@@ -93,191 +101,82 @@ func (m *Market) SetExtras(e *Extras) error {
 	return nil
 }
 
-// extrasFeasible reports whether the per-rack served demands (already
-// clamped to rack headroom) satisfy the zone and phase constraints.
-// serve(rack) must return the rack's tentative grant.
-func (m *Market) extrasFeasible(bids []Bid, serve func(b Bid) float64) bool {
+// extrasViolation locates the first zone or phase limit an allocation
+// breaks (zone < 0 means the phase fields apply).
+type extrasViolation struct {
+	zone, pdu, phase int
+	load, limit      float64
+}
+
+// checkExtras tests an allocation against the installed zone and phase
+// constraints using market-owned scratch, so the scan can call it per grid
+// price without allocating. ok is true when nothing is violated. Callers
+// guarantee extras are installed and every allocation's rack is in range.
+func (m *Market) checkExtras(allocs []Allocation) (v extrasViolation, ok bool) {
 	e := m.extras
-	if e == nil {
-		return true
-	}
 	if len(e.Zones) > 0 {
-		zoneLoad := make(map[int]float64, len(e.Zones))
-		rackGrant := make(map[int]float64, len(bids))
-		for _, b := range bids {
-			rackGrant[b.Rack] += serve(b)
+		rackGrant := f64s(m.rackLoad, len(m.cons.RackHeadroom))
+		m.rackLoad = rackGrant
+		clear(rackGrant)
+		for _, a := range allocs {
+			rackGrant[a.Rack] += a.Watts
 		}
 		for zi, z := range e.Zones {
+			load := 0.0
 			for _, r := range z.Racks {
-				zoneLoad[zi] += rackGrant[r]
+				load += rackGrant[r]
 			}
-			if zoneLoad[zi] > z.MaxWatts+feasEps {
-				return false
+			if load > z.MaxWatts+feasEps {
+				return extrasViolation{zone: zi, load: load, limit: z.MaxWatts}, false
 			}
 		}
 	}
 	if e.RackPhase != nil {
-		if !m.phasesBalanced(bids, serve) {
-			return false
+		// Phase load per PDU: index pdu*3+phase.
+		loads := f64s(m.phaseLoad, len(m.cons.PDUSpot)*3)
+		m.phaseLoad = loads
+		clear(loads)
+		for _, a := range allocs {
+			loads[m.cons.RackPDU[a.Rack]*3+e.RackPhase[a.Rack]] += a.Watts
+		}
+		tol := e.imbalance()
+		for pdu := 0; pdu < len(m.cons.PDUSpot); pdu++ {
+			ph := loads[pdu*3 : pdu*3+3]
+			mean := (ph[0] + ph[1] + ph[2]) / 3
+			if mean <= feasEps {
+				continue
+			}
+			limit := mean * (1 + tol)
+			for i, w := range ph {
+				if w > limit+feasEps {
+					return extrasViolation{zone: -1, pdu: pdu, phase: i, load: w, limit: limit}, false
+				}
+			}
 		}
 	}
-	return true
-}
-
-// phasesBalanced checks the per-PDU three-phase balance of the tentative
-// grants.
-func (m *Market) phasesBalanced(bids []Bid, serve func(b Bid) float64) bool {
-	e := m.extras
-	tol := e.imbalance()
-	// phase load per PDU: index pdu*3+phase.
-	loads := make([]float64, len(m.cons.PDUSpot)*3)
-	for _, b := range bids {
-		w := serve(b)
-		if w <= 0 {
-			continue
-		}
-		pdu := m.cons.RackPDU[b.Rack]
-		loads[pdu*3+e.RackPhase[b.Rack]] += w
-	}
-	for pdu := 0; pdu < len(m.cons.PDUSpot); pdu++ {
-		a, bb, c := loads[pdu*3], loads[pdu*3+1], loads[pdu*3+2]
-		mean := (a + bb + c) / 3
-		if mean <= feasEps {
-			continue
-		}
-		limit := mean * (1 + tol)
-		if a > limit+feasEps || bb > limit+feasEps || c > limit+feasEps {
-			return false
-		}
-	}
-	return true
+	return v, true
 }
 
 // VerifyExtras confirms an allocation against the installed zone and phase
 // constraints (no-op when none are installed).
 func (m *Market) VerifyExtras(allocs []Allocation) error {
-	e := m.extras
-	if e == nil {
+	if m.extras == nil {
 		return nil
 	}
-	rackGrant := make(map[int]float64, len(allocs))
 	for _, a := range allocs {
-		rackGrant[a.Rack] += a.Watts
-	}
-	for zi, z := range e.Zones {
-		load := 0.0
-		for _, r := range z.Racks {
-			load += rackGrant[r]
-		}
-		if load > z.MaxWatts+feasEps {
-			return fmt.Errorf("core: zone %d (%s) allocated %v W beyond %v W (heat density)",
-				zi, z.Name, load, z.MaxWatts)
+		if a.Rack < 0 || a.Rack >= len(m.cons.RackHeadroom) {
+			return fmt.Errorf("%w: allocation for rack %d of %d", ErrConstraints, a.Rack, len(m.cons.RackHeadroom))
 		}
 	}
-	if e.RackPhase != nil {
-		loads := make([]float64, len(m.cons.PDUSpot)*3)
-		for r, w := range rackGrant {
-			loads[m.cons.RackPDU[r]*3+e.RackPhase[r]] += w
-		}
-		tol := e.imbalance()
-		for pdu := 0; pdu < len(m.cons.PDUSpot); pdu++ {
-			a, b, c := loads[pdu*3], loads[pdu*3+1], loads[pdu*3+2]
-			mean := (a + b + c) / 3
-			if mean <= feasEps {
-				continue
-			}
-			limit := mean * (1 + tol)
-			for ph, w := range []float64{a, b, c} {
-				if w > limit+feasEps {
-					return fmt.Errorf("core: PDU %d phase %d carries %v W, beyond %v W (balance tolerance %v)",
-						pdu, ph, w, limit, tol)
-				}
-			}
-		}
+	v, ok := m.checkExtras(allocs)
+	switch {
+	case ok:
+		return nil
+	case v.zone >= 0:
+		return fmt.Errorf("core: zone %d (%s) allocated %v W beyond %v W (heat density)",
+			v.zone, m.extras.Zones[v.zone].Name, v.load, v.limit)
+	default:
+		return fmt.Errorf("core: PDU %d phase %d carries %v W, beyond %v W (balance tolerance %v)",
+			v.pdu, v.phase, v.load, v.limit, m.extras.imbalance())
 	}
-	return nil
-}
-
-// ClearWithExtras clears the market honouring the installed zone and phase
-// constraints. Unlike the base constraints, phase balance is NOT monotone
-// in price (a high price can drop one phase's bidders entirely and
-// unbalance the rest), so the search scans every candidate price and keeps
-// the best feasible one instead of bisecting a feasibility frontier.
-func (m *Market) ClearWithExtras(bids []Bid) (Result, error) {
-	if m.extras == nil {
-		return m.Clear(bids)
-	}
-	if err := m.validateBids(bids); err != nil {
-		return Result{}, err
-	}
-	floor := m.opts.ReservePrice
-	if floor < 0 {
-		floor = 0
-	}
-	res := Result{Price: floor}
-	if len(bids) == 0 {
-		return res, nil
-	}
-	hi := floor
-	for _, b := range bids {
-		if p := b.Fn.MaxPrice(); p > hi {
-			hi = p
-		}
-	}
-	step := m.opts.step()
-	serveAt := func(price float64) func(b Bid) float64 {
-		return func(b Bid) float64 {
-			d := b.Fn.Demand(price)
-			if hr := m.cons.RackHeadroom[b.Rack]; d > hr {
-				d = hr
-			}
-			if d < 0 {
-				return 0
-			}
-			return d
-		}
-	}
-	feasible := func(price float64) bool {
-		return m.feasibleAt(bids, price) && m.extrasFeasible(bids, serveAt(price))
-	}
-
-	bestPrice, bestRevenue, bestWatts := floor, -1.0, 0.0
-	evals := 0
-	// Integer-indexed grid (floor + i*step) so prices stay exactly on the
-	// advertised resolution, and the dedicated revenue epsilon so the
-	// winner-comparison tolerance is not tied to the watts-scale feasEps.
-	// Ascending order + strict improvement tie-breaks toward the lower price.
-	for i := 0; ; i++ {
-		q := floor + float64(i)*step
-		if q > hi+step/2 {
-			break
-		}
-		evals++
-		if !feasible(q) {
-			continue
-		}
-		watts := m.servedAt(bids, q)
-		rev := q * watts / 1000
-		if rev > bestRevenue+revEps {
-			bestPrice, bestRevenue, bestWatts = q, rev, watts
-		}
-	}
-	if bestRevenue < 0 {
-		// No feasible price sells anything: the market idles above every
-		// max price, where demand (and hence every constraint load) is 0.
-		bestPrice, bestRevenue, bestWatts = hi+step, 0, 0
-	}
-	res.Price = bestPrice
-	res.TotalWatts = bestWatts
-	res.RevenueRate = bestRevenue
-	res.Evaluations = evals
-	res.Allocations = m.allocs(len(bids))
-	serve := serveAt(bestPrice)
-	for i, b := range bids {
-		res.Allocations[i] = Allocation{Rack: b.Rack, Tenant: b.Tenant, Watts: serve(b)}
-	}
-	if aud := m.opts.Audit; aud != nil {
-		m.auditClear(aud, bids, res)
-	}
-	return res, nil
 }

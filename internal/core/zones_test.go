@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"spotdc/internal/metrics"
+	"spotdc/internal/otrace"
 )
 
 func TestSetExtrasValidation(t *testing.T) {
@@ -33,7 +36,7 @@ func TestSetExtrasValidation(t *testing.T) {
 	}
 	// Clearing (and mutation of the caller's extras) must not alias.
 	ok.Zones[0].MaxWatts = -5
-	res, err := m.ClearWithExtras(nil)
+	res, err := m.Clear(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestZoneConstraintCapsAllocation(t *testing.T) {
 		{Rack: 1, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.4}},
 		{Rack: 4, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.4}}, // other PDU, not in the zone
 	}
-	res, err := m.ClearWithExtras(bids)
+	res, err := m.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestZoneInfeasibleSellsNothing(t *testing.T) {
 	if err := m.SetExtras(&Extras{Zones: []Zone{{Name: "z", Racks: []int{0}, MaxWatts: 10}}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.ClearWithExtras([]Bid{{Rack: 0, Fn: StepBid{D: 40, QMax: 0.3}}})
+	res, err := m.Clear([]Bid{{Rack: 0, Fn: StepBid{D: 40, QMax: 0.3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestPhaseBalanceEnforced(t *testing.T) {
 		{Rack: 1, Fn: StepBid{D: 30, QMax: 0.3}},
 		{Rack: 2, Fn: StepBid{D: 30, QMax: 0.3}},
 	}
-	res, err := lopsided.ClearWithExtras(bids)
+	res, err := lopsided.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestPhaseBalanceEnforced(t *testing.T) {
 	if err := balanced.SetExtras(&Extras{RackPhase: PhaseOf{0, 1, 2, 0, 1, 2, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = balanced.ClearWithExtras(bids)
+	res, err = balanced.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestPhaseImbalanceTolerance(t *testing.T) {
 	if err := strict.SetExtras(&Extras{RackPhase: PhaseOf{0, 1, 2, 0, 1, 2, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := strict.ClearWithExtras(bids)
+	rs, err := strict.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestPhaseImbalanceTolerance(t *testing.T) {
 	if err := loose.SetExtras(&Extras{RackPhase: PhaseOf{0, 1, 2, 0, 1, 2, 0, 1}, PhaseImbalance: 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	rl, err := loose.ClearWithExtras(bids)
+	rl, err := loose.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,22 +184,42 @@ func TestPhaseImbalanceTolerance(t *testing.T) {
 	}
 }
 
-func TestClearWithExtrasNoExtrasDelegates(t *testing.T) {
-	m, err := NewMarket(twoPDUConstraints(100, 100, 200), Options{PriceStep: 0.001})
+// SetExtras(nil) puts the market back on the automatic engine: the result
+// is the plain market's, from the exact engine again.
+func TestSetExtrasNilRestoresPlainClear(t *testing.T) {
+	cons := twoPDUConstraints(100, 100, 200)
+	m, err := NewMarket(cons, Options{PriceStep: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bids := []Bid{{Rack: 0, Fn: LinearBid{DMax: 40, DMin: 10, QMin: 0.05, QMax: 0.3}}}
-	a, err := m.ClearWithExtras(bids)
+	if err := m.SetExtras(&Extras{Zones: []Zone{{Name: "z", Racks: []int{0}, MaxWatts: 15}}}); err != nil {
+		t.Fatal(err)
+	}
+	capped, err := m.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Clear(bids)
+	if capped.Algorithm != AlgorithmScan || capped.TotalWatts > 15+1e-9 {
+		t.Errorf("with the zone installed: engine %v sold %v W of 15 W", capped.Algorithm, capped.TotalWatts)
+	}
+	if err := m.SetExtras(nil); err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.Clear(bids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Price != b.Price || a.TotalWatts != b.TotalWatts {
-		t.Errorf("delegation mismatch: %+v vs %+v", a, b)
+	plain, err := NewMarket(cons, Options{PriceStep: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := plain.Clear(bids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Algorithm != AlgorithmExact || a.Price != b.Price || a.TotalWatts != b.TotalWatts {
+		t.Errorf("after SetExtras(nil): %+v, plain market: %+v", a, b)
 	}
 }
 
@@ -222,7 +245,7 @@ func TestVerifyExtrasRejects(t *testing.T) {
 	}
 }
 
-// Property: ClearWithExtras never violates zones or phases, and never
+// Property: Clear under extras never violates zones or phases, and never
 // earns more than the unconstrained clearing on the same bids.
 func TestQuickExtrasNeverViolated(t *testing.T) {
 	f := func(seed int64) bool {
@@ -258,7 +281,7 @@ func TestQuickExtrasNeverViolated(t *testing.T) {
 		if err := withEx.SetExtras(extras); err != nil {
 			return false
 		}
-		res, err := withEx.ClearWithExtras(bids)
+		res, err := withEx.Clear(bids)
 		if err != nil {
 			return false
 		}
@@ -282,6 +305,223 @@ func TestQuickExtrasNeverViolated(t *testing.T) {
 		return res.RevenueRate <= base.RevenueRate+slack
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Installed extras bind Clear itself: this 3-rack market would sell 46 W
+// into its 30 W zone if the search skipped them (only an attached Auditor
+// would notice). The clearing must pass VerifyExtras, report the grid
+// engine, and be visible to the metrics and the clear span like any other.
+func TestClearHonoursInstalledExtras(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := otrace.NewTracer(otrace.Options{SampleEvery: 1, Seed: 1})
+	aud := &Auditor{}
+	m, err := NewMarket(Constraints{
+		RackHeadroom: []float64{60, 60, 60},
+		RackPDU:      []int{0, 0, 0},
+		PDUSpot:      []float64{200},
+		UPSSpot:      200,
+	}, Options{PriceStep: 0.001, Metrics: NewMarketMetrics(reg), Audit: aud, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetExtras(&Extras{Zones: []Zone{{Name: "aisle", Racks: []int{0, 1}, MaxWatts: 30}}}); err != nil {
+		t.Fatal(err)
+	}
+	bids := []Bid{
+		{Rack: 0, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.4}},
+		{Rack: 1, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.4}},
+		{Rack: 2, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.4}},
+	}
+	root := tr.StartRoot("slot", 0)
+	m.SetTraceParent(root)
+	res, err := m.Clear(bids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTraceParent(nil)
+	root.End()
+
+	if err := m.VerifyExtras(res.Allocations); err != nil {
+		t.Errorf("Clear broke the installed zone: %v", err)
+	}
+	if aud.Violations() != 0 {
+		t.Errorf("inline audit: %v", aud.Err())
+	}
+	if res.TotalWatts <= 0 {
+		t.Error("nothing sold although high prices fit the zone")
+	}
+	if res.Algorithm != AlgorithmScan {
+		t.Errorf("Result.Algorithm = %v, want scan", res.Algorithm)
+	}
+	if n, _ := reg.Value("spotdc_market_clears_total", "scan"); n != 1 {
+		t.Errorf("spotdc_market_clears_total{engine=scan} = %v, want 1", n)
+	}
+	var span *otrace.SpanRecord
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == "clear" {
+			span = &sp
+		}
+	}
+	if span == nil {
+		t.Fatal("no clear span recorded")
+	}
+	if span.Attrs["engine"] != "scan" || span.Attrs["price"] != res.Price {
+		t.Errorf("clear span attrs = %v, want engine scan at price %v", span.Attrs, res.Price)
+	}
+}
+
+// Extras force the grid whatever engine Options.Algorithm names.
+func TestExtrasOverrideAlgorithmExact(t *testing.T) {
+	m, err := NewMarket(twoPDUConstraints(200, 200, 400), Options{PriceStep: 0.001, Algorithm: AlgorithmExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetExtras(&Extras{RackPhase: PhaseOf{0, 1, 2, 0, 1, 2, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Clear([]Bid{{Rack: 0, Fn: StepBid{D: 30, QMax: 0.3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != AlgorithmScan {
+		t.Errorf("Result.Algorithm = %v, want scan", res.Algorithm)
+	}
+}
+
+// Pins what Ration + extras does: extras clear strictly. PDU 0's inelastic
+// 55–60 W demand never fits its 50 W spot, so a plain Ration market scales
+// it down and sells at a price both racks accept; with a (slack) zone
+// installed no price is accepted until the un-rationed demand fits — rack 0
+// is priced out — and the result equals the strict market's.
+func TestExtrasClearStrictlyOnRationMarket(t *testing.T) {
+	cons := twoPDUConstraints(50, 50, 100)
+	bids := []Bid{
+		{Rack: 0, Fn: LinearBid{DMax: 60, DMin: 55, QMin: 0.05, QMax: 0.4}},
+		{Rack: 4, Fn: LinearBid{DMax: 40, DMin: 5, QMin: 0.05, QMax: 0.6}},
+	}
+	extras := &Extras{Zones: []Zone{{Name: "slack", Racks: []int{0, 4}, MaxWatts: 1000}}}
+	clearWith := func(opts Options, e *Extras) Result {
+		t.Helper()
+		m, err := NewMarket(cons, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetExtras(e); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Clear(bids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rationed := clearWith(Options{PriceStep: 0.001, Ration: true}, nil)
+	withExtras := clearWith(Options{PriceStep: 0.001, Ration: true}, extras)
+	strict := clearWith(Options{PriceStep: 0.001}, extras)
+	if withExtras.Price != strict.Price || withExtras.TotalWatts != strict.TotalWatts {
+		t.Errorf("Ration+extras cleared (%v, %v W), strict+extras (%v, %v W)",
+			withExtras.Price, withExtras.TotalWatts, strict.Price, strict.TotalWatts)
+	}
+	for i, a := range withExtras.Allocations {
+		if want := bids[i].Fn.Demand(withExtras.Price); a.Watts != want {
+			t.Errorf("rack %d granted %v W, un-rationed demand is %v W", a.Rack, a.Watts, want)
+		}
+	}
+	if withExtras.Allocations[0].Watts != 0 || withExtras.TotalWatts <= 0 {
+		t.Errorf("strict clearing should price rack 0 out and still sell: %+v", withExtras.Allocations)
+	}
+	if rationed.Allocations[0].Watts != 50 {
+		t.Errorf("plain Ration market granted rack 0 %v W, want its PDU's 50 W: the case does not separate the two",
+			rationed.Allocations[0].Watts)
+	}
+}
+
+// Oracle: with extras installed, Clear returns the revenue-maximal grid
+// price among those whose grants pass VerifyFeasible and VerifyExtras, the
+// lower price on ties — checked against a brute-force walk of the grid that
+// shares nothing with clearScan but the demand functions.
+func TestQuickExtrasMatchBruteForceOracle(t *testing.T) {
+	const step = 0.005
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cons := twoPDUConstraints(50+rng.Float64()*150, 50+rng.Float64()*150, 100+rng.Float64()*300)
+		extras := &Extras{PhaseImbalance: 0.3 + rng.Float64()}
+		if rng.Intn(4) > 0 {
+			extras.Zones = []Zone{
+				{Name: "a", Racks: []int{0, 1, 2}, MaxWatts: rng.Float64() * 120},
+				{Name: "b", Racks: []int{2, 4, 5}, MaxWatts: rng.Float64() * 120}, // overlaps a, spans PDUs
+			}
+		}
+		if rng.Intn(4) > 0 {
+			extras.RackPhase = make(PhaseOf, 8)
+			for i := range extras.RackPhase {
+				extras.RackPhase[i] = rng.Intn(3)
+			}
+		}
+		var bids []Bid
+		hi := 0.0
+		for r := 0; r < 8; r++ {
+			if rng.Float64() < 0.3 {
+				continue
+			}
+			b := randomBid(rng, r)
+			bids = append(bids, b)
+			hi = math.Max(hi, b.Fn.MaxPrice())
+		}
+		m, err := NewMarket(cons, Options{PriceStep: step})
+		if err != nil {
+			return false
+		}
+		if err := m.SetExtras(extras); err != nil {
+			return false
+		}
+		res, err := m.Clear(bids)
+		if err != nil {
+			return false
+		}
+		got := Result{Price: res.Price, RevenueRate: res.RevenueRate, TotalWatts: res.TotalWatts}
+		if m.VerifyFeasible(res.Allocations) != nil || m.VerifyExtras(res.Allocations) != nil {
+			t.Logf("seed %d: returned allocation infeasible", seed)
+			return false
+		}
+
+		bestPrice, bestRev := math.NaN(), -1.0
+		for i := 0; ; i++ {
+			q := float64(i) * step
+			if q > hi+step/2 {
+				break
+			}
+			allocs := make([]Allocation, len(bids))
+			watts := 0.0
+			for k, b := range bids {
+				w := math.Min(b.Fn.Demand(q), cons.RackHeadroom[b.Rack])
+				allocs[k] = Allocation{Rack: b.Rack, Watts: w}
+				watts += w
+			}
+			if m.VerifyFeasible(allocs) != nil || m.VerifyExtras(allocs) != nil {
+				continue
+			}
+			if rev := q * watts / 1000; rev > bestRev+revEps {
+				bestPrice, bestRev = q, rev
+			}
+		}
+		if bestRev < 0 {
+			// No grid price passes: nothing may sell.
+			if got.TotalWatts != 0 || got.RevenueRate != 0 {
+				t.Logf("seed %d: sold %v W where no grid price is feasible", seed, got.TotalWatts)
+				return false
+			}
+			return true
+		}
+		if got.Price != bestPrice || math.Abs(got.RevenueRate-bestRev) > 1e-9 {
+			t.Logf("seed %d: Clear (%v, %v $/h), oracle (%v, %v $/h)", seed, got.Price, got.RevenueRate, bestPrice, bestRev)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

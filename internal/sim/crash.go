@@ -22,17 +22,13 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
-	"spotdc/internal/core"
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
-	"spotdc/internal/power"
 	"spotdc/internal/proto"
 	"spotdc/internal/rackpdu"
 	"spotdc/internal/tenant"
@@ -230,57 +226,11 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 // or die per the kill.
 func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res *CrashResult,
 	seg, resume, end int, kill *CrashKill, expect []int) error {
-	topo := sc.Topo
-	var aud *core.Auditor
-	if opts.Audit {
-		aud = &core.Auditor{}
-		sc.MarketOptions.Audit = aud
-	}
-	opCfg := operator.Config{
-		Topology:      topo,
-		MarketOptions: sc.MarketOptions,
-		Pricing:       sc.Pricing,
-		Predict:       sc.Predict,
-	}
-	var units []*rackpdu.PDU
-	if em := opts.Emergency; em != nil {
-		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
-			return fmt.Errorf("emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
-		}
-		units = make([]*rackpdu.PDU, len(topo.Racks))
-		for i, r := range topo.Racks {
-			unit, err := rackpdu.New(rackpdu.Config{
-				ID:          r.ID,
-				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
-				ResetDelay:  em.ResetDelay,
-			})
-			if err != nil {
-				return err
-			}
-			units[i] = unit
-		}
-		opCfg.Emergency = &operator.ResponderConfig{
-			EscalationSeverity: em.EscalationSeverity,
-			RecoverySlots:      em.RecoverySlots,
-			SetBudget: func(rack int, budgetWatts float64) error {
-				return units[rack].SetBudget(budgetWatts)
-			},
-		}
-	}
-	op, err := operator.New(opCfg)
+	p, err := newNetPlant(sc, opts)
 	if err != nil {
 		return err
 	}
-	srv, err := proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
-		return topo.RackByID(id)
-	}, proto.ServerOptions{
-		SessionTTL: opts.SessionTTL,
-		BidWindow:  opts.BidWindow,
-		OwnerOf:    func(i int) string { return topo.Racks[i].Tenant },
-	})
-	if err != nil {
-		return err
-	}
+	op, srv, units := p.op, p.srv, p.units
 	defer srv.Close()
 
 	log, rec, err := wal.Open(wal.Options{
@@ -380,126 +330,53 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 		return err
 	}
 
-	// Reference reading, as in NetRun: racks at 75% of guarantee (capped at
-	// their rack PDU's budget when the emergency loop is armed), with
-	// NaN poisoning and overload surges on their scheduled slots.
-	errorSlot := make(map[int]bool, len(opts.ErrorSlots))
-	for _, s := range opts.ErrorSlots {
-		errorSlot[s] = true
-	}
-	surgeSlot := make(map[int]bool)
-	if opts.Emergency != nil {
-		for _, s := range opts.Emergency.OverloadSlots {
-			surgeSlot[s] = true
-		}
-	}
-	rackWatts := make([]float64, len(topo.Racks))
-	otherWatts := make([]float64, len(topo.PDUs))
-	reading := func(slot int) power.Reading {
-		if errorSlot[slot] {
-			return power.Reading{
-				RackWatts:     []float64{math.NaN()},
-				OtherPDUWatts: otherWatts,
-			}
-		}
-		for m := range otherWatts {
-			otherWatts[m] = sc.OtherLoad[m].At(slot)
-		}
-		for i, r := range topo.Racks {
-			w := 0.75 * r.Guaranteed
-			if em := opts.Emergency; em != nil {
-				if surgeSlot[slot] && r.PDU == em.OverloadPDU {
-					w += em.OverloadRackWatts
-				}
-				if b := units[i].Budget(); w > b {
-					w = b
-				}
-			}
-			rackWatts[i] = w
-		}
-		return power.Reading{RackWatts: rackWatts, OtherPDUWatts: otherWatts}
-	}
-
+	// The plant's loop (seeded reference reading, feasibility re-check,
+	// emergency tolerance), plus what only a crash run has: its own journal
+	// file, the WAL, and the bid barrier.
 	slotLen := opts.SlotLen
-	loop := proto.MarketLoop{
-		Server:                 srv,
-		Operator:               op,
-		Clock:                  clock,
-		Reading:                reading,
-		RackID:                 func(i int) string { return topo.Racks[i].ID },
-		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
-		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
-		Journal:                journal,
-		Durable: &proto.Durable{
-			Log:           log,
-			SnapshotEvery: crash.SnapshotEvery,
-			OnCommit:      crash.OnCommit,
-			ExtraSlot: func(slot int) ([]byte, error) {
-				return marshalCrashExtra(units, func() ([]byte, error) {
-					if crash.ExtraSlot == nil {
-						return nil, nil
-					}
-					return crash.ExtraSlot(slot)
-				})
-			},
-			ExtraSnapshot: func() ([]byte, error) {
-				return marshalCrashExtra(units, func() ([]byte, error) {
-					if crash.ExtraSnapshot == nil {
-						return nil, nil
-					}
-					return crash.ExtraSnapshot()
-				})
-			},
+	loop := p.marketLoop(clock)
+	loop.Journal = journal
+	loop.Durable = &proto.Durable{
+		Log:           log,
+		SnapshotEvery: crash.SnapshotEvery,
+		OnCommit:      crash.OnCommit,
+		ExtraSlot: func(slot int) ([]byte, error) {
+			return marshalCrashExtra(units, func() ([]byte, error) {
+				if crash.ExtraSlot == nil {
+					return nil, nil
+				}
+				return crash.ExtraSlot(slot)
+			})
 		},
-		// Bid-arrival barrier: every run, interrupted or not, must drain
-		// the same bid set per slot. Bounded by a quarter slot so a dead
-		// tenant cannot stall the market.
-		BeforeBids: func(slot int) {
-			deadline := clock.StartOf(slot).Add(slotLen / 4)
-			for srv.BufferedBids(slot) < expect[slot] && time.Now().Before(deadline) {
-				time.Sleep(200 * time.Microsecond)
-			}
-		},
-		OnSlot: func(slot int, out operator.SlotOutcome, bids int) {
-			if err := op.VerifyFeasible(out.Result.Allocations); err != nil {
-				res.InfeasibleSlots++
-			}
+		ExtraSnapshot: func() ([]byte, error) {
+			return marshalCrashExtra(units, func() ([]byte, error) {
+				if crash.ExtraSnapshot == nil {
+					return nil, nil
+				}
+				return crash.ExtraSnapshot()
+			})
 		},
 	}
-	if em := opts.Emergency; em != nil {
-		tol := em.BreakerTolerance
-		if tol == 0 {
-			tol = sc.BreakerTolerance
+	// Bid-arrival barrier: every run, interrupted or not, must drain the
+	// same bid set per slot. Bounded by a quarter slot so a dead tenant
+	// cannot stall the market.
+	loop.BeforeBids = func(slot int) {
+		deadline := clock.StartOf(slot).Add(slotLen / 4)
+		for srv.BufferedBids(slot) < expect[slot] && time.Now().Before(deadline) {
+			time.Sleep(200 * time.Microsecond)
 		}
-		if tol == 0 {
-			tol = 0.05
-		}
-		loop.CheckEmergencies = true
-		loop.BreakerTolerance = tol
 	}
 
-	inj, err := proto.NewFaultInjector(proto.FaultPlan{})
-	if err != nil {
-		log.Close()
-		return err
-	}
-	var wg sync.WaitGroup
-	for idx := range sc.Agents {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			runNetTenant(sc.Agents[idx], topo, srv.Addr(), clock, resume, end, inj, nil, opts, int64(idx))
-		}(idx)
-	}
-
+	wait := p.runTenants(clock, resume, end)
 	cleared, runErr := loop.RunSlots(resume, end-resume)
-	wg.Wait()
+	wait()
 	if runErr != nil {
 		log.Close()
 		return runErr
 	}
 	res.Cleared += cleared
 	res.SlotErrors += loop.SlotErrors()
+	res.InfeasibleSlots += p.infeasible
 
 	if kill != nil {
 		// Die: yank the WAL's descriptors without flushing, optionally
@@ -521,13 +398,8 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 			return err
 		}
 	}
-	if opts.Audit {
-		if n := aud.Violations(); n > 0 {
-			return fmt.Errorf("audit found %d clearing violation(s): %w", n, aud.Err())
-		}
-		if err := op.ReconcileAccounts(); err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
+	if err := p.audit(); err != nil {
+		return err
 	}
 	res.SpotRevenue = op.SpotRevenue()
 	res.Checkpoint = op.Checkpoint()

@@ -210,31 +210,44 @@ func netBids(topo *power.Topology, bids []core.Bid) []proto.RackBid {
 	return out
 }
 
-// NetRun executes the scenario's market over real TCP connections with the
-// given fault schedule. The operator side runs proto.MarketLoop (with its
-// degradation semantics); each agent runs a tenant goroutine that bids per
-// slot and awaits the price broadcast, pacing itself by the shared slot
-// clock so a missed broadcast costs exactly one slot. Agents' Execute
-// feedback is not replayed into the readings — racks are referenced at 75%
-// of their guarantee, as in the spotdc-operator demo — because the harness
-// exists to stress the transport, not the workload models.
-func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
-	if err := sc.validate(); err != nil {
-		return nil, err
-	}
-	opts.setDefaults()
+// netPlant is the operator side of a networked run — what NetRun builds
+// once and CrashNetRun rebuilds for every operator lifetime: the operator
+// (plus, with the emergency loop armed, one emulated intelligent PDU per
+// rack and the responder that resets their budgets), both fault injectors,
+// the protocol server, and the seeded reference reading the market loop
+// polls.
+type netPlant struct {
+	sc    Scenario
+	opts  NetRunOptions
+	aud   *core.Auditor
+	op    *operator.Operator
+	units []*rackpdu.PDU
+	srv   *proto.Server
+	// bidInj wraps tenant→operator writes (tenants dial through it),
+	// bcastInj operator→tenant writes; inactive plans pass through.
+	bidInj, bcastInj *proto.FaultInjector
+	protoMetrics     *proto.Metrics
+	// infeasible counts broadcast allocations failing the independent
+	// VerifyFeasible re-check.
+	infeasible int
+}
+
+// newNetPlant builds the operator side up to a listening server; the caller
+// owns closing p.srv.
+func newNetPlant(sc Scenario, opts NetRunOptions) (*netPlant, error) {
+	p := &netPlant{opts: opts}
 	var opMetrics *operator.Metrics
-	var protoMetrics *proto.Metrics
+	var rpm *rackpdu.Metrics
 	if opts.Registry != nil {
 		sc.MarketOptions.Metrics = core.NewMarketMetrics(opts.Registry)
 		opMetrics = operator.NewMetrics(opts.Registry)
-		protoMetrics = proto.NewMetrics(opts.Registry)
+		p.protoMetrics = proto.NewMetrics(opts.Registry)
 	}
-	var aud *core.Auditor
 	if opts.Audit {
-		aud = &core.Auditor{}
-		sc.MarketOptions.Audit = aud
+		p.aud = &core.Auditor{}
+		sc.MarketOptions.Audit = p.aud
 	}
+	p.sc = sc
 	topo := sc.Topo
 	opCfg := operator.Config{
 		Topology:      topo,
@@ -247,16 +260,14 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 	// With the emergency loop armed, every rack gets an emulated intelligent
 	// PDU: the responder's budget resets land there, and the unit's budget is
 	// the authoritative physical cap on what the rack can draw.
-	var units []*rackpdu.PDU
 	if em := opts.Emergency; em != nil {
 		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
 			return nil, fmt.Errorf("sim: emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
 		}
-		var rpm *rackpdu.Metrics
 		if opts.Registry != nil {
 			rpm = rackpdu.NewMetrics(opts.Registry)
 		}
-		units = make([]*rackpdu.PDU, len(topo.Racks))
+		p.units = make([]*rackpdu.PDU, len(topo.Racks))
 		for i, r := range topo.Racks {
 			unit, err := rackpdu.New(rackpdu.Config{
 				ID:          r.ID,
@@ -267,31 +278,29 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			units[i] = unit
+			p.units[i] = unit
 		}
 		opCfg.Emergency = &operator.ResponderConfig{
 			EscalationSeverity: em.EscalationSeverity,
 			RecoverySlots:      em.RecoverySlots,
 			SetBudget: func(rack int, budgetWatts float64) error {
-				return units[rack].SetBudget(budgetWatts)
+				return p.units[rack].SetBudget(budgetWatts)
 			},
 		}
 	}
-	op, err := operator.New(opCfg)
-	if err != nil {
+	var err error
+	if p.op, err = operator.New(opCfg); err != nil {
 		return nil, err
 	}
-	bidInj, err := proto.NewFaultInjector(opts.BidFaults)
-	if err != nil {
+	if p.bidInj, err = proto.NewFaultInjector(opts.BidFaults); err != nil {
 		return nil, err
 	}
-	bcastInj, err := proto.NewFaultInjector(opts.BroadcastFaults)
-	if err != nil {
+	if p.bcastInj, err = proto.NewFaultInjector(opts.BroadcastFaults); err != nil {
 		return nil, err
 	}
-	bidInj.SetMetrics(protoMetrics)
-	bcastInj.SetMetrics(protoMetrics)
-	srv, err := proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
+	p.bidInj.SetMetrics(p.protoMetrics)
+	p.bcastInj.SetMetrics(p.protoMetrics)
+	p.srv, err = proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
 		return topo.RackByID(id)
 	}, proto.ServerOptions{
 		SessionTTL: opts.SessionTTL,
@@ -300,8 +309,8 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		// racks — without this, any connected tenant could claim another's
 		// headroom.
 		OwnerOf:  func(i int) string { return topo.Racks[i].Tenant },
-		WrapConn: bcastInj.Wrap,
-		Metrics:  protoMetrics,
+		WrapConn: p.bcastInj.Wrap,
+		Metrics:  p.protoMetrics,
 		Tracer:   opts.Tracer,
 		// Logf stays nil: faults are expected here, the server is quiet by
 		// default, and the metrics above carry the signal.
@@ -309,13 +318,13 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
+	return p, nil
+}
 
-	clock, err := proto.NewSlotClock(time.Now().Add(2*opts.SlotLen), opts.SlotLen)
-	if err != nil {
-		return nil, err
-	}
-
+// marketLoop wires the plant into a market loop on the given clock; callers
+// add what differs between harnesses (journal, WAL, bid barrier).
+func (p *netPlant) marketLoop(clock *proto.SlotClock) *proto.MarketLoop {
+	sc, opts, topo := p.sc, p.opts, p.sc.Topo
 	// Reference reading: racks at 75% of their guarantee, non-participants
 	// from their traces; ErrorSlots poison the snapshot with NaN so
 	// RunSlot fails and the loop must degrade.
@@ -352,7 +361,7 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 				if surgeSlot[slot] && r.PDU == em.OverloadPDU {
 					w += em.OverloadRackWatts
 				}
-				if b := units[i].Budget(); w > b {
+				if b := p.units[i].Budget(); w > b {
 					w = b
 				}
 				rackWatts[i] = w
@@ -360,32 +369,24 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		}
 		return power.Reading{RackWatts: rackWatts, OtherPDUWatts: otherWatts}
 	}
-
-	res := &NetResult{
-		Slots:   sc.Slots,
-		Tenants: make(map[string]*NetTenantStats, len(sc.Agents)),
-	}
-	loop := proto.MarketLoop{
-		Server:                 srv,
-		Operator:               op,
+	loop := &proto.MarketLoop{
+		Server:                 p.srv,
+		Operator:               p.op,
 		Clock:                  clock,
 		Reading:                reading,
 		RackID:                 func(i int) string { return topo.Racks[i].ID },
 		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
 		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
-		Journal:                opts.Journal,
-		Durable:                opts.Durable,
 		Tracer:                 opts.Tracer,
 		FaultCounts: func() (drops, delays, severs int64) {
-			b, c := bidInj.Stats(), bcastInj.Stats()
+			b, c := p.bidInj.Stats(), p.bcastInj.Stats()
 			return b.Drops + c.Drops, b.Delays + c.Delays, b.Severs + c.Severs
 		},
 		OnSlot: func(slot int, out operator.SlotOutcome, bids int) {
-			if err := op.VerifyFeasible(out.Result.Allocations); err != nil {
-				res.InfeasibleSlots++
+			if err := p.op.VerifyFeasible(out.Result.Allocations); err != nil {
+				p.infeasible++
 			}
 		},
-		OnSlotError: func(slot int, err error) {},
 	}
 	if em := opts.Emergency; em != nil {
 		tol := em.BreakerTolerance
@@ -398,31 +399,90 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		loop.CheckEmergencies = true
 		loop.BreakerTolerance = tol
 	}
+	return loop
+}
 
+// runTenants starts one bidding goroutine per agent for slots [from, to);
+// the returned wait blocks until all have finished and yields their stats
+// in agent order.
+func (p *netPlant) runTenants(clock *proto.SlotClock, from, to int) (wait func() []*NetTenantStats) {
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for idx, a := range sc.Agents {
+	stats := make([]*NetTenantStats, len(p.sc.Agents))
+	for idx, a := range p.sc.Agents {
 		wg.Add(1)
 		go func(idx int, a tenant.Agent) {
 			defer wg.Done()
-			st := runNetTenant(a, topo, srv.Addr(), clock, 0, sc.Slots, bidInj, protoMetrics, opts, int64(idx))
-			mu.Lock()
-			res.Tenants[st.Name] = st
-			mu.Unlock()
+			stats[idx] = runNetTenant(a, p.sc.Topo, p.srv.Addr(), clock, from, to, p.bidInj, p.protoMetrics, p.opts, int64(idx))
 		}(idx, a)
 	}
+	return func() []*NetTenantStats {
+		wg.Wait()
+		return stats
+	}
+}
 
+// audit is the post-run half of NetRunOptions.Audit: no inline clearing
+// violation and books that reconcile.
+func (p *netPlant) audit() error {
+	if !p.opts.Audit {
+		return nil
+	}
+	if n := p.aud.Violations(); n > 0 {
+		return fmt.Errorf("audit found %d clearing violation(s): %w", n, p.aud.Err())
+	}
+	if err := p.op.ReconcileAccounts(); err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	return nil
+}
+
+// NetRun executes the scenario's market over real TCP connections with the
+// given fault schedule. The operator side runs proto.MarketLoop (with its
+// degradation semantics); each agent runs a tenant goroutine that bids per
+// slot and awaits the price broadcast, pacing itself by the shared slot
+// clock so a missed broadcast costs exactly one slot. Agents' Execute
+// feedback is not replayed into the readings — racks are referenced at 75%
+// of their guarantee, as in the spotdc-operator demo — because the harness
+// exists to stress the transport, not the workload models.
+func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
+	opts.setDefaults()
+	p, err := newNetPlant(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer p.srv.Close()
+
+	clock, err := proto.NewSlotClock(time.Now().Add(2*opts.SlotLen), opts.SlotLen)
+	if err != nil {
+		return nil, err
+	}
+	loop := p.marketLoop(clock)
+	loop.Journal = opts.Journal
+	loop.Durable = opts.Durable
+
+	res := &NetResult{
+		Slots:   sc.Slots,
+		Tenants: make(map[string]*NetTenantStats, len(sc.Agents)),
+	}
+	wait := p.runTenants(clock, 0, sc.Slots)
 	cleared, runErr := loop.RunSlots(0, sc.Slots)
-	wg.Wait()
+	for _, st := range wait() {
+		res.Tenants[st.Name] = st
+	}
 	if runErr != nil {
 		return nil, runErr
 	}
+	op := p.op
 	res.Cleared = cleared
 	res.SlotErrors = loop.SlotErrors()
 	res.BreakerTripped = loop.BreakerTripped()
-	res.BidFaults = bidInj.Stats()
-	res.BroadcastFaults = bcastInj.Stats()
-	res.ReapedSessions = srv.ReapedSessions()
+	res.InfeasibleSlots = p.infeasible
+	res.BidFaults = p.bidInj.Stats()
+	res.BroadcastFaults = p.bcastInj.Stats()
+	res.ReapedSessions = p.srv.ReapedSessions()
 	res.SpotRevenue = op.SpotRevenue()
 	if opts.Emergency != nil {
 		res.EmergencySlots = op.EmergencySlots()
@@ -430,17 +490,12 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		res.ReclaimedWatts = op.ReclaimedWatts()
 		res.GuaranteedCutWatts = op.GuaranteedCutWatts()
 		res.InvoluntaryCuts = op.InvoluntaryCuts()
-		for _, u := range units {
+		for _, u := range p.units {
 			res.BudgetResets += u.Resets()
 		}
 	}
-	if opts.Audit {
-		if n := aud.Violations(); n > 0 {
-			return nil, fmt.Errorf("sim: audit found %d clearing violation(s): %w", n, aud.Err())
-		}
-		if err := op.ReconcileAccounts(); err != nil {
-			return nil, fmt.Errorf("sim: audit: %w", err)
-		}
+	if err := p.audit(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	return res, nil
 }

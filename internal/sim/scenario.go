@@ -46,9 +46,6 @@ type TestbedOptions struct {
 	CapacityScale float64
 	// PriceStep is the clearing scan granularity (default 0.001 $/kW·h).
 	PriceStep float64
-	// Algorithm selects the clearing engine (default core.AlgorithmAuto:
-	// exact breakpoint-driven clearing, with the grid scan as fallback).
-	Algorithm core.Algorithm
 	// UnderPrediction is the Fig. 17 conservative prediction factor.
 	UnderPrediction float64
 	// Hint supplies strategic bidders' market information (Fig. 16).
@@ -135,7 +132,7 @@ func Testbed(opt TestbedOptions) (Scenario, error) {
 		OtherLeasedWatts: 500,
 		Slots:            opt.Slots,
 		SlotSeconds:      opt.SlotSeconds,
-		MarketOptions:    core.Options{PriceStep: opt.PriceStep, Ration: true, Algorithm: opt.Algorithm},
+		MarketOptions:    core.Options{PriceStep: opt.PriceStep, Ration: true},
 		Pricing:          operator.DefaultPricing(),
 		Predict:          power.PredictOptions{UnderPredictionFactor: opt.UnderPrediction},
 		BreakerTolerance: 0.05,
@@ -394,7 +391,7 @@ func Scaled(opt ScaledOptions) (Scenario, error) {
 		OtherLeasedWatts: 500 * float64(replicas),
 		Slots:            opt.Testbed.Slots,
 		SlotSeconds:      opt.Testbed.SlotSeconds,
-		MarketOptions:    core.Options{PriceStep: opt.Testbed.PriceStep, Ration: true, Algorithm: opt.Testbed.Algorithm},
+		MarketOptions:    core.Options{PriceStep: opt.Testbed.PriceStep, Ration: true},
 		Pricing:          operator.DefaultPricing(),
 		Predict:          power.PredictOptions{UnderPredictionFactor: opt.Testbed.UnderPrediction},
 		BreakerTolerance: 0.05,

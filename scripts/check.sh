@@ -51,6 +51,10 @@
 #      TestClearAllocBudgetInstrumented and TestClearAllocBudgetTraced),
 #      and of the wire-layer benchmarks (their steady-state alloc budgets
 #      are enforced by TestWireAllocBudget)
+#  13. the benchmark harness: bench/ is a Go module of its own (replace
+#      spotdc => ../), so `./...` above never reaches it; vet and test it
+#      against this checkout so an internal/* API change cannot break the
+#      BENCHMARK.json harness unnoticed
 #
 # Tier-1 (ROADMAP.md) remains `go build ./... && go test ./...`; this script
 # is a superset of it.
@@ -84,4 +88,6 @@ echo '== bench smoke: Fig. 7(b) clearing'
 go test -run '^$' -bench 'BenchmarkFig7bClearingTime' -benchtime 1x -benchmem .
 echo '== bench smoke: wire codec + broadcast fan-out'
 go test -run '^$' -bench 'BenchmarkCodec|BenchmarkBroadcast' -benchtime 1x -benchmem ./internal/proto/
+echo '== bench harness module: go vet + go test'
+(cd bench && go vet ./... && go test ./...)
 echo 'check: OK'

@@ -126,7 +126,10 @@ type (
 	Breakpointer = core.Breakpointer
 )
 
-// Clearing-engine selectors for MarketOptions.Algorithm.
+// Clearing-engine selectors for MarketOptions.Algorithm. Clear picks the
+// engine itself; pinning one is for the Fig. 7(b) comparison, the
+// cross-validation suites and journal replay, which is why no CLI flag or
+// config key sets it.
 const (
 	// AlgorithmAuto picks exact clearing when every bid exposes its
 	// piece-wise linear structure, else falls back to the grid scan.
@@ -137,12 +140,6 @@ const (
 	// AlgorithmExact forces the breakpoint-driven exact engine.
 	AlgorithmExact = core.AlgorithmExact
 )
-
-// ParseClearingAlgorithm parses "auto", "scan" or "exact" (empty means
-// auto), for wiring the Algorithm knob through flags and config files.
-func ParseClearingAlgorithm(s string) (ClearingAlgorithm, error) {
-	return core.ParseAlgorithm(s)
-}
 
 // Optional Section III-A constraints (heat density, phase balance).
 type (
