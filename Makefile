@@ -35,6 +35,11 @@
 #                       produce books, responder state, invoices and a
 #                       slot journal bit-identical to an uninterrupted
 #                       run, race detector on
+#   make fuzz-smoke     10 s each of the two slot-record fuzzers — the
+#                       journal's packed-section decoder and the WAL slot-
+#                       record decoder — past their seed corpora: hostile
+#                       counts, lengths and trailing bytes must be refused
+#                       before anything is sized from them
 #   make bench-proto    wire-layer benchmarks: codec cost per encoding and
 #                       the concurrent broadcast fan-out vs the serial JSON
 #                       baseline
@@ -43,7 +48,7 @@
 
 GO ?= go
 
-.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash audit-replay bench bench-proto
+.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash fuzz-smoke audit-replay bench bench-proto
 
 check:
 	./scripts/check.sh
@@ -69,6 +74,10 @@ smoke-spans:
 
 smoke-crash:
 	$(GO) test -race -count=1 -v -run 'TestCrash' ./internal/sim/ ./internal/billing/
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzJournalSectionDecode' -fuzztime 10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz 'FuzzSlotRecordDecode' -fuzztime 10s ./internal/proto/
 
 audit-replay:
 	$(GO) test -race -count=1 -v -run 'TestGoldenNetRunJournalReplay' ./internal/audit/

@@ -1,19 +1,25 @@
 // Command spotdc-audit replays slot journals offline and re-verifies the
 // market's conservation invariants: grant envelopes, hierarchical
 // capacity (Eqns. 2–4), revenue arithmetic, degraded-slot zeroing, and —
-// for schema-v2 journals — bit-identical reproduction of every cleared
-// slot through the recorded clearing engine, plus optional exact-vs-scan
-// engine agreement.
+// for journals with a header (schema v2 and v3) — bit-identical
+// reproduction of every cleared slot through the recorded clearing engine,
+// plus optional exact-vs-scan engine agreement.
 //
 // Usage:
 //
 //	spotdc-audit [-engine-check] [-agreement-rel 0.01] [-spans spans.jsonl] \
 //	    [-v] journal.jsonl...
+//	spotdc-audit -dump journal.jsonl... > expanded.jsonl
 //
 // Journals are produced by spotdc-operator -events or any harness wiring a
 // SlotJournal into MarketLoop (e.g. the sim package's NetRun). v1
-// journals (no header line) get outcome-level checks only; v2 journals
-// replay in full. Exits 1 if any journal fails an invariant.
+// journals (no header line) get outcome-level checks only; v2 and v3
+// journals replay in full. Exits 1 if any journal fails an invariant.
+//
+// -dump audits nothing: it re-emits each journal on stdout as plain
+// expanded JSONL (the v2 form), unpacking the binary section a v3 line
+// carries its bid, grant and reading arrays in, so jq '.bid_set[]' and grep
+// work on demand. The dump of a journal audits to the same report.
 //
 // -spans joins a trace-span journal (spotdc-operator -trace-spans) against
 // the slot journal: every sampled root span must match a journaled slot,
@@ -27,6 +33,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"spotdc"
 )
@@ -37,10 +44,28 @@ func main() {
 	spansFile := flag.String("spans", "", "join this trace-span journal (spotdc-operator -trace-spans) against the slot journal")
 	maxPrint := flag.Int("max-violations", 20, "print at most this many violations per journal")
 	verbose := flag.Bool("v", false, "narrate per-journal progress")
+	dump := flag.Bool("dump", false, "audit nothing: re-emit the journals on stdout as plain expanded JSONL (packed sections unpacked)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: spotdc-audit [-engine-check] [-agreement-rel REL] [-spans spans.jsonl] [-v] journal.jsonl...")
+		fmt.Fprintln(os.Stderr, "usage: spotdc-audit [-engine-check] [-agreement-rel REL] [-spans spans.jsonl] [-v] journal.jsonl...\n       spotdc-audit -dump journal.jsonl...")
 		os.Exit(2)
+	}
+	if *dump {
+		for _, path := range flag.Args() {
+			f, err := os.Open(path)
+			if err != nil {
+				log.Fatal(err)
+			}
+			torn, err := spotdc.DumpSlotJournal(os.Stdout, f)
+			f.Close()
+			if err != nil {
+				log.Fatalf("%s: %v", path, err)
+			}
+			if torn {
+				log.Printf("%s: WARNING torn final line dropped (writer crashed mid-append)", path)
+			}
+		}
+		return
 	}
 
 	opts := spotdc.AuditOptions{EngineCheck: *engineCheck, AgreementRel: *agreementRel}
@@ -126,7 +151,7 @@ func main() {
 		}
 		schema := "v1 (outcome-only)"
 		if rep.Header != nil {
-			schema = "v2"
+			schema = rep.Header.Schema[strings.LastIndexByte(rep.Header.Schema, '/')+1:]
 		}
 		fmt.Printf("%s: %s, %d slots (%d cleared, %d degraded), %d replayed, %d outcome-only, revenue $%.6f\n",
 			path, schema, rep.Slots, rep.Cleared, rep.Degraded, rep.Replayed, rep.OutcomeOnly, rep.TotalRevenue)

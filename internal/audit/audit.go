@@ -4,7 +4,7 @@
 // The split with the inline checker (core.Auditor, attached via
 // core.Options.Audit) is a cost budget: inline auditing runs on the
 // clearing path and is limited to one allocation-free O(bids) pass, while
-// this package replays a schema-v2 journal through the real prediction and
+// this package replays a full-input (schema v2 or v3) journal through the real prediction and
 // clearing code — re-running every inline invariant plus the expensive
 // ones (bit-identical reproduction, exact-vs-scan engine agreement,
 // journal-level revenue reconciliation) with no latency constraint.

@@ -2,6 +2,8 @@ package audit_test
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -237,5 +239,110 @@ func TestCheckJournalV1OutcomeOnly(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("out-of-order journal passed the audit")
+	}
+}
+
+// TestV2FixtureStillReadsAndAudits replays a journal written by the last
+// build that emitted schema v2 (testdata/journal_v2.jsonl: 16 testbed
+// slots, one degraded, one emergency reclaim — every array a JSON array).
+// The reader decodes each line by what it carries, so the file must keep
+// replaying bit-identically through both engines, and re-journaling its
+// events in the current packed form must audit to the identical report.
+func TestV2FixtureStillReadsAndAudits(t *testing.T) {
+	raw, err := os.ReadFile("testdata/journal_v2.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"packed"`)) || !bytes.Contains(raw, []byte(`"bid_set":[`)) {
+		t.Fatal("fixture is not an expanded v2 journal")
+	}
+	opts := audit.Options{EngineCheck: true}
+	rep, err := audit.Replay(bytes.NewReader(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Header == nil || rep.Header.Schema != metrics.JournalSchemaV2 {
+		t.Fatalf("fixture header = %+v", rep.Header)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Slots != 16 || rep.Degraded != 1 || rep.Replayed != 15 || rep.OutcomeOnly != 0 {
+		t.Fatalf("fixture report = %+v", rep)
+	}
+
+	hdr, events, err := metrics.ReadJournal(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packed bytes.Buffer
+	j := metrics.NewJournal(&packed)
+	if err := j.Header(*hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := j.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Contains(packed.Bytes(), []byte(`"packed":"`)) || bytes.Contains(packed.Bytes(), []byte(`"bid_set"`)) {
+		t.Fatal("re-journaled fixture is not packed")
+	}
+	assertSameReport(t, "v2 fixture vs its v3 re-journal", rep, replay(t, packed.Bytes(), opts))
+}
+
+// TestDumpReauditsIdentically: spotdc-audit -dump's output for a packed
+// journal — here the seeded emergency run's, so reclaim records are in it —
+// is an expanded v2 journal that audits to the identical report.
+func TestDumpReauditsIdentically(t *testing.T) {
+	sc, err := sim.Testbed(sim.TestbedOptions{Seed: 17, Slots: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packed bytes.Buffer
+	if _, err := sim.NetRun(sc, sim.NetRunOptions{
+		SlotLen: 15 * time.Millisecond,
+		Journal: metrics.NewJournal(&packed),
+		Audit:   true,
+		Emergency: &sim.NetEmergencyOptions{
+			RecoverySlots: 2, OverloadSlots: []int{8, 9, 10}, OverloadRackWatts: 70, ResetDelay: time.Millisecond,
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if torn, err := metrics.DumpJournal(&dump, bytes.NewReader(packed.Bytes())); err != nil || torn {
+		t.Fatalf("DumpJournal: torn=%v err=%v", torn, err)
+	}
+	if bytes.Contains(dump.Bytes(), []byte(`"packed"`)) || !bytes.Contains(dump.Bytes(), []byte(`"reclaims":[`)) {
+		t.Fatalf("dump is not the expanded form:\n%.300s", dump.String())
+	}
+	opts := audit.Options{EngineCheck: true}
+	want := replay(t, packed.Bytes(), opts)
+	if want.Replayed == 0 || !want.OK() {
+		t.Fatalf("packed journal report = %+v", want)
+	}
+	assertSameReport(t, "packed journal vs its dump", want, replay(t, dump.Bytes(), opts))
+}
+
+func replay(t *testing.T, journal []byte, opts audit.Options) *audit.Report {
+	t.Helper()
+	rep, err := audit.Replay(bytes.NewReader(journal), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// assertSameReport compares two reports field for field; the schema tag is
+// the one thing a re-encoding is allowed to change.
+func assertSameReport(t *testing.T, what string, a, b *audit.Report) {
+	t.Helper()
+	ha, hb := *a.Header, *b.Header
+	ha.Schema, hb.Schema = "", ""
+	ca, cb := *a, *b
+	ca.Header, cb.Header = &ha, &hb
+	if !reflect.DeepEqual(ca, cb) {
+		t.Errorf("%s: reports differ:\n%+v\n%+v", what, ca, cb)
 	}
 }

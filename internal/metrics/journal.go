@@ -6,20 +6,34 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"spotdc/internal/binenc"
 )
 
-// JournalSchemaV2 is the schema tag of a version-2 slot journal's header
-// line. A v2 journal opens with one JournalHeader line (distinguished by
-// its "schema" key) carrying the run's static configuration — topology,
-// market options, prediction factor, slot length — followed by one
-// SlotEvent line per slot whose cleared events capture the full slot
+// Journal schema tags, carried by the header line's "schema" key. A journal
+// opens with one JournalHeader line carrying the run's static configuration
+// — topology, market options, prediction factor, slot length — followed by
+// one SlotEvent line per slot whose cleared events capture the full slot
 // inputs (bids, reading, predicted capacities). Together they make a slot
 // deterministically replayable offline (cmd/spotdc-audit). A journal with
 // no header line is a v1 journal: outcome-only events, still readable, but
 // only the outcome-level invariants can be re-checked.
-const JournalSchemaV2 = "spotdc/slot-journal/v2"
+//
+// v3 is what Journal writes. It differs from v2 in one thing: a cleared
+// event's five bulk arrays (bid_set, grant_set, pdu_spot, rack_watts,
+// other_pdu_watts) travel as one binary section, base64 in the line's
+// "packed" key (journalpack.go), instead of as JSON arrays — at 15,000
+// racks that is ≈ 120,000 floats per slot that no longer pass through
+// decimal formatting. Scalars and the rare emergency records stay plain
+// JSON, so jq/grep on them work as before; `spotdc-audit -dump` re-emits
+// any journal in the fully expanded v2 form. Readers accept v1, v2 and v3
+// and decode each line by what it carries.
+const (
+	JournalSchemaV2 = "spotdc/slot-journal/v2"
+	JournalSchemaV3 = "spotdc/slot-journal/v3"
+)
 
-// JournalRack describes one rack in a v2 journal header.
+// JournalRack describes one rack in a journal header.
 type JournalRack struct {
 	ID         string  `json:"id"`
 	Tenant     string  `json:"tenant,omitempty"`
@@ -29,10 +43,10 @@ type JournalRack struct {
 	Headroom float64 `json:"headroom"`
 }
 
-// JournalHeader is the first line of a v2 journal: everything static a
-// replay needs to rebuild the operator's market bit-for-bit.
+// JournalHeader is the first line of a journal (v2 and up): everything
+// static a replay needs to rebuild the operator's market bit-for-bit.
 type JournalHeader struct {
-	// Schema is JournalSchemaV2.
+	// Schema is the journal's schema tag (JournalSchemaV3 as written).
 	Schema string `json:"schema"`
 	// UPSCapacity / PDUCapacity / Racks describe the power topology.
 	UPSCapacity float64       `json:"ups_capacity"`
@@ -112,6 +126,14 @@ type ReclaimRecord struct {
 // journal complements the scrape surface — /metrics answers "what is the
 // market doing now / in aggregate", the journal answers "what happened in
 // slot 12,417" after the fact (jq-able, greppable, diffable).
+//
+// The struct tags are the expanded (v2) form of a line; Journal.Append
+// writes the same keys with the bulk arrays packed (see JournalSchemaV3).
+// The market loop fills an event's slices by borrowing — its own scratch,
+// the slot's reading, the operator's outcome — so an event handed to
+// Append is only valid until the next slot; Append serializes it before
+// returning and keeps no reference. Events returned by ReadJournal own
+// their slices.
 type SlotEvent struct {
 	// Slot is the market slot index.
 	Slot int `json:"slot"`
@@ -141,10 +163,10 @@ type SlotEvent struct {
 	FaultDelays int64 `json:"fault_delays,omitempty"`
 	FaultSevers int64 `json:"fault_severs,omitempty"`
 
-	// The remaining fields are the schema-v2 full-input capture, populated
-	// only for cleared slots (degraded slots may hold NaN-poisoned readings,
-	// which JSON cannot encode; their v1-style outcome record plus Err is
-	// the complete story). Together with the header they let
+	// The remaining fields are the full-input capture (schema v2 and up),
+	// populated only for cleared slots (degraded slots may hold corrupt
+	// readings; their v1-style outcome record plus Err is the complete
+	// story). Together with the header they let
 	// internal/audit replay the slot through both clearing engines.
 
 	// Algorithm is the engine that produced the result ("scan" or "exact");
@@ -189,11 +211,17 @@ type SlotEvent struct {
 type Journal struct {
 	mu        sync.Mutex
 	w         io.Writer
-	enc       *json.Encoder
 	n         int
 	syncEvery int
 	header    bool
 	err       error
+
+	// Encoder scratch, reused across appends: the line being built, the
+	// binary section before it is base64'd into the line, and the
+	// section's tenant-name table.
+	line  []byte
+	sec   []byte
+	names binenc.Names
 }
 
 // NewJournal builds a journal over w (typically an *os.File opened by the
@@ -216,12 +244,14 @@ type JournalOptions struct {
 
 // NewJournalOpts builds a journal over w with explicit durability options.
 func NewJournalOpts(w io.Writer, opts JournalOptions) *Journal {
-	return &Journal{w: w, enc: json.NewEncoder(w), syncEvery: opts.SyncEvery, header: opts.Resumed}
+	return &Journal{w: w, syncEvery: opts.SyncEvery, header: opts.Resumed}
 }
 
-// Append writes one event as a JSON line. The first write error is sticky
-// and returned by every subsequent Append (and by Err), so a full disk
-// degrades the journal, never the market loop.
+// Append writes one event as one line with one Write. The event is fully
+// serialized before Append returns (it may borrow its slices, see
+// SlotEvent), and a steady-state append allocates nothing. The first
+// encode or write error is sticky and returned by every subsequent Append
+// (and by Err), so a full disk degrades the journal, never the market loop.
 func (j *Journal) Append(ev SlotEvent) error {
 	if j == nil {
 		return nil
@@ -231,7 +261,11 @@ func (j *Journal) Append(ev SlotEvent) error {
 	if j.err != nil {
 		return j.err
 	}
-	if err := j.enc.Encode(ev); err != nil {
+	if err := j.appendLine(&ev); err != nil {
+		j.err = err
+		return err
+	}
+	if _, err := j.w.Write(j.line); err != nil {
 		j.err = err
 		return err
 	}
@@ -269,7 +303,7 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Header writes the v2 schema header as the journal's first line. It must
+// Header writes the schema header as the journal's first line. It must
 // be called before any Append; a second call, or a call after events were
 // written, is rejected (a header mid-stream would corrupt the journal).
 // Write errors are sticky, exactly as for Append.
@@ -285,8 +319,12 @@ func (j *Journal) Header(h JournalHeader) error {
 	if j.header || j.n > 0 {
 		return fmt.Errorf("metrics: journal header must be the first line (have header=%v, %d events)", j.header, j.n)
 	}
-	h.Schema = JournalSchemaV2
-	if err := j.enc.Encode(h); err != nil {
+	h.Schema = JournalSchemaV3
+	line, err := json.Marshal(h)
+	if err == nil {
+		_, err = j.w.Write(append(line, '\n'))
+	}
+	if err != nil {
 		j.err = err
 		return err
 	}
@@ -294,7 +332,7 @@ func (j *Journal) Header(h JournalHeader) error {
 	return nil
 }
 
-// HasHeader reports whether a v2 header was written.
+// HasHeader reports whether a header was written.
 func (j *Journal) HasHeader() bool {
 	if j == nil {
 		return false
@@ -345,9 +383,52 @@ func ReadJournal(r io.Reader) (*JournalHeader, []SlotEvent, error) {
 // warn semantics — the operator died mid-append). A malformed line with
 // further lines after it is still a hard error, not a tear.
 func ReadJournalInfo(r io.Reader) (header *JournalHeader, events []SlotEvent, torn bool, err error) {
+	torn, err = scanJournal(r,
+		func(h *JournalHeader) error { header = h; return nil },
+		func(ev *SlotEvent) error { events = append(events, *ev); return nil })
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return header, events, torn, nil
+}
+
+// DumpJournal re-emits a journal of any schema as plain expanded JSONL:
+// every array of every event written out as a JSON array, one line per
+// event, which is exactly the v2 form (so the header, when present, is
+// tagged v2). It is the on-demand answer to `jq '.bid_set[]'` and grep on a
+// packed journal; the dump of a journal audits to the same report as the
+// journal. A torn final line is dropped and reported, as in
+// ReadJournalInfo.
+func DumpJournal(w io.Writer, r io.Reader) (torn bool, err error) {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	enc := json.NewEncoder(bw)
+	torn, err = scanJournal(r,
+		func(h *JournalHeader) error {
+			h.Schema = JournalSchemaV2
+			return enc.Encode(h)
+		},
+		func(ev *SlotEvent) error { return enc.Encode(ev) })
+	if err != nil {
+		return false, err
+	}
+	return torn, bw.Flush()
+}
+
+// journalLine is one event line as read: the expanded fields, plus the
+// packed section a v3 line carries instead of its bulk arrays
+// (encoding/json base64-decodes a string into a []byte field).
+type journalLine struct {
+	SlotEvent
+	Packed []byte `json:"packed"`
+}
+
+// scanJournal walks a journal line by line, handing the header (at most
+// once, first) and each event to the callbacks; the values passed are only
+// valid during the call unless copied (events own their slices).
+func scanJournal(r io.Reader, onHeader func(*JournalHeader) error, onEvent func(*SlotEvent) error) (torn bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
-	line := 0
+	line, valid := 0, 0
 	// A parse failure is held pending: fatal only if a later non-empty line
 	// proves the defect was not a torn tail.
 	var pending error
@@ -357,7 +438,7 @@ func ReadJournalInfo(r io.Reader) (header *JournalHeader, events []SlotEvent, to
 			continue
 		}
 		if pending != nil {
-			return nil, nil, false, pending
+			return false, pending
 		}
 		line++
 		if line == 1 {
@@ -369,30 +450,42 @@ func ReadJournalInfo(r io.Reader) (header *JournalHeader, events []SlotEvent, to
 				continue
 			}
 			if probe.Schema != "" {
-				if probe.Schema != JournalSchemaV2 {
-					return nil, nil, false, fmt.Errorf("metrics: unsupported journal schema %q (want %q)", probe.Schema, JournalSchemaV2)
+				if probe.Schema != JournalSchemaV2 && probe.Schema != JournalSchemaV3 {
+					return false, fmt.Errorf("metrics: unsupported journal schema %q (want %q or %q)",
+						probe.Schema, JournalSchemaV3, JournalSchemaV2)
 				}
-				header = &JournalHeader{}
+				header := &JournalHeader{}
 				if err := json.Unmarshal(raw, header); err != nil {
-					return nil, nil, false, fmt.Errorf("metrics: journal header: %w", err)
+					return false, fmt.Errorf("metrics: journal header: %w", err)
 				}
+				if err := onHeader(header); err != nil {
+					return false, err
+				}
+				valid++
 				continue
 			}
 		}
-		var ev SlotEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
+		var jl journalLine
+		err := json.Unmarshal(raw, &jl)
+		if err == nil && jl.Packed != nil {
+			err = unpackSection(jl.Packed, &jl.SlotEvent)
+		}
+		if err != nil {
 			pending = fmt.Errorf("metrics: journal line %d: %w", line, err)
 			continue
 		}
-		events = append(events, ev)
+		if err := onEvent(&jl.SlotEvent); err != nil {
+			return false, err
+		}
+		valid++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, false, fmt.Errorf("metrics: reading journal: %w", err)
+		return false, fmt.Errorf("metrics: reading journal: %w", err)
 	}
-	if pending != nil && header == nil && len(events) == 0 {
+	if pending != nil && valid == 0 {
 		// Nothing valid preceded the defect: that is a file that is not a
 		// journal, not a journal with a torn tail.
-		return nil, nil, false, pending
+		return false, pending
 	}
-	return header, events, pending != nil, nil
+	return pending != nil, nil
 }

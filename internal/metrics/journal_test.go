@@ -98,7 +98,7 @@ func TestJournalV2RoundTrip(t *testing.T) {
 		t.Fatal("ReadJournal returned nil header for a v2 journal")
 	}
 	wantHdr := hdr
-	wantHdr.Schema = JournalSchemaV2
+	wantHdr.Schema = JournalSchemaV3
 	if !reflect.DeepEqual(*gotHdr, wantHdr) {
 		t.Errorf("header round-trip = %+v, want %+v", *gotHdr, wantHdr)
 	}

@@ -136,6 +136,10 @@ type Operator struct {
 	rackBuf    []int
 	spotUsers  map[int]bool
 	pduSoldBuf []float64
+	// commitPayments and commitResponder back the SlotCommit that
+	// LastSlotCommit lends out (state.go).
+	commitPayments  []PaymentDelta
+	commitResponder ResponderCheckpoint
 
 	// responder is non-nil only when Config.Emergency enables the
 	// emergency response loop (emergency.go); nil keeps every slot path

@@ -17,9 +17,11 @@ import (
 	"spotdc/internal/stats"
 )
 
-// NeumaierState is the serializable form of a compensated accumulator.
-// JSON round-trips float64 exactly (shortest-representation encoding), so
-// Export → marshal → unmarshal → Restore reproduces the bit pattern.
+// NeumaierState is the serializable form of a compensated accumulator. The
+// WAL stores both terms as IEEE-754 bits (statecodec.go), so Export → encode
+// → decode → Restore reproduces the bit pattern by construction; the JSON
+// tags remain for diagnostics and callers that marshal a checkpoint
+// themselves (shortest-representation decimals also round-trip exactly).
 type NeumaierState struct {
 	Sum  float64 `json:"sum"`
 	Comp float64 `json:"comp"`
@@ -93,6 +95,12 @@ type PaymentDelta struct {
 // the responder's post-slot state. Payment deltas appear in allocation
 // order — the order RunSlot billed them — because compensated summation is
 // order-sensitive.
+//
+// A SlotCommit returned by LastSlotCommit or filled by UnmarshalBinary
+// borrows its slices (and Responder) from scratch that the next such call
+// overwrites: encode or apply it before the next slot, and copy anything
+// kept longer. Both consumers do — the WAL writer serializes before it
+// returns, ApplySlotCommit copies what it keeps.
 type SlotCommit struct {
 	Revenue        float64        `json:"revenue"`
 	EnergyKWh      float64        `json:"energy_kwh"`
@@ -105,15 +113,17 @@ type SlotCommit struct {
 	Responder *ResponderCheckpoint `json:"responder,omitempty"`
 }
 
-func (rs *responderState) checkpoint() *ResponderCheckpoint {
-	cp := &ResponderCheckpoint{
-		SuspendedPDU: append([]bool(nil), rs.suspendedPDU...),
-		CalmPDU:      append([]int(nil), rs.calmPDU...),
-		StartPDU:     append([]int(nil), rs.startPDU...),
+// checkpointInto copies the responder's durable state into cp, reusing
+// cp's slices (a zero cp allocates them once).
+func (rs *responderState) checkpointInto(cp *ResponderCheckpoint) *ResponderCheckpoint {
+	*cp = ResponderCheckpoint{
+		SuspendedPDU: append(cp.SuspendedPDU[:0], rs.suspendedPDU...),
+		CalmPDU:      append(cp.CalmPDU[:0], rs.calmPDU...),
+		StartPDU:     append(cp.StartPDU[:0], rs.startPDU...),
 		SuspendedUPS: rs.suspendedUPS,
 		CalmUPS:      rs.calmUPS,
 		StartUPS:     rs.startUPS,
-		LastGrants:   append([]float64(nil), rs.lastGrants...),
+		LastGrants:   append(cp.LastGrants[:0], rs.lastGrants...),
 
 		Acted:           rs.acted,
 		ReclaimedWatts:  rs.reclaimedWatts,
@@ -169,7 +179,7 @@ func (op *Operator) Checkpoint() Checkpoint {
 		sort.Slice(cp.Payments, func(i, j int) bool { return cp.Payments[i].Tenant < cp.Payments[j].Tenant })
 	}
 	if op.responder != nil {
-		cp.Responder = op.responder.checkpoint()
+		cp.Responder = op.responder.checkpointInto(new(ResponderCheckpoint))
 	}
 	return cp
 }
@@ -216,27 +226,35 @@ func (op *Operator) Restore(cp Checkpoint) error {
 // using the identical floating-point expressions RunSlot billed with so a
 // replayed Add reproduces the accumulation bit-for-bit. Call it after
 // RunSlot and (when the emergency loop runs) after ObserveEmergencies, so
-// the absolute counters and responder state are post-slot.
+// the absolute counters and responder state are post-slot. The result
+// borrows out's spot slice and operator-owned scratch (see SlotCommit): it
+// is valid until the next LastSlotCommit, and building it allocates nothing
+// in steady state.
 func (op *Operator) LastSlotCommit(out SlotOutcome, slotHours float64) SlotCommit {
 	c := SlotCommit{
 		Revenue:        out.Result.RevenueRate * slotHours,
 		EnergyKWh:      out.Result.TotalWatts / 1000 * slotHours,
 		Slots:          op.slots,
 		EmergencySlots: op.emergencySlots,
-		SpotPDU:        append([]float64(nil), out.Spot.PDUWatts...),
+		SpotPDU:        out.Spot.PDUWatts,
 		SpotUPS:        out.Spot.UPSWatts,
 	}
+	pays := op.commitPayments[:0]
 	for _, a := range out.Result.Allocations {
 		if a.Watts <= 0 {
 			continue
 		}
-		c.Payments = append(c.Payments, PaymentDelta{
+		pays = append(pays, PaymentDelta{
 			Tenant: a.Tenant,
 			Amount: out.Result.Price * a.Watts / 1000 * slotHours,
 		})
 	}
+	op.commitPayments = pays
+	if len(pays) > 0 {
+		c.Payments = pays
+	}
 	if op.responder != nil {
-		c.Responder = op.responder.checkpoint()
+		c.Responder = op.responder.checkpointInto(&op.commitResponder)
 	}
 	return c
 }

@@ -86,13 +86,14 @@ func TestSlotCommitReplayBitIdentical(t *testing.T) {
 			mid = a.Checkpoint()
 		}
 		if i > 7 {
-			// Round-trip the commit through JSON, as the WAL stores it.
-			data, err := json.Marshal(c)
+			// Round-trip the commit through its binary encoding, as the
+			// WAL stores it.
+			data, err := c.AppendBinary(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var decoded SlotCommit
-			if err := json.Unmarshal(data, &decoded); err != nil {
+			if err := decoded.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
 			if i == 8 {

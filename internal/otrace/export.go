@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"spotdc/internal/metrics"
 )
 
 // SpanRecord is the exported (journal / HTTP / converter) form of a
@@ -60,7 +62,7 @@ func appendSpanJSON(dst []byte, d *spanData) []byte {
 		dst = appendHex16(dst, uint64(d.Parent))
 	}
 	dst = append(dst, `","name":`...)
-	dst = appendJSONString(dst, d.Name)
+	dst = metrics.AppendJSONString(dst, d.Name)
 	dst = append(dst, `,"slot":`...)
 	dst = strconv.AppendInt(dst, int64(d.Slot), 10)
 	dst = append(dst, `,"start_us":`...)
@@ -74,11 +76,11 @@ func appendSpanJSON(dst []byte, d *spanData) []byte {
 				dst = append(dst, ',')
 			}
 			a := &d.attrs[i]
-			dst = appendJSONString(dst, a.Key)
+			dst = metrics.AppendJSONString(dst, a.Key)
 			dst = append(dst, ':')
 			switch a.kind {
 			case attrStr:
-				dst = appendJSONString(dst, a.str)
+				dst = metrics.AppendJSONString(dst, a.str)
 			case attrInt:
 				dst = strconv.AppendInt(dst, a.i, 10)
 			case attrFloat:
@@ -104,31 +106,6 @@ func appendHex16(dst []byte, v uint64) []byte {
 		v >>= 4
 	}
 	return append(dst, b[:]...)
-}
-
-// appendJSONString appends s as a JSON string, escaping the characters
-// JSON requires (quotes, backslash, control bytes). Span names are fixed
-// identifiers, but attribute values can carry error text.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c == '\n':
-			dst = append(dst, '\\', 'n')
-		case c == '\t':
-			dst = append(dst, '\\', 't')
-		case c == '\r':
-			dst = append(dst, '\\', 'r')
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
 }
 
 // record converts one ring/pending entry to its exported form.

@@ -2,11 +2,13 @@ package proto
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
+
+	"spotdc/internal/binenc"
 )
 
 // Binary wire framing (DESIGN §4g). Every message is one frame:
@@ -32,9 +34,10 @@ import (
 //	error         detail (string)
 //
 // Scalars are big-endian; float64s are IEEE-754 bits; strings are a u16
-// length followed by raw bytes. Everything is length-checked against the
-// frame, so a truncated or hostile frame decodes to ErrProtocol, never a
-// panic or an over-allocation.
+// length followed by raw bytes — the internal/binenc primitives, shared with
+// the WAL slot record and the journal's packed section. Everything is
+// length-checked against the frame, so a truncated or hostile frame decodes
+// to ErrProtocol, never a panic or an over-allocation.
 // Version negotiation (DESIGN §4i): version 1 is the historical framing;
 // version 2 adds the trace envelope field. A codec starts at version 1
 // and upgrades stickily — the tenant client enables v2 when a tracer is
@@ -129,7 +132,7 @@ type BinaryCodec struct {
 	// taken inside Recv (ReadFull, the payload walker), which would escape
 	// a local to the heap and cost one allocation per message.
 	hdr [binFrameHeader]byte
-	rd  binReader
+	rd  binenc.Reader
 
 	// Decode slice scratch, reused across Recv calls.
 	racks  []string
@@ -168,24 +171,12 @@ func (c *BinaryCodec) EnableTrace() { c.v2.Store(true) }
 // Close closes the underlying stream.
 func (c *BinaryCodec) Close() error { return c.c.Close() }
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
 func appendStr(b []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
+	b, err := binenc.AppendStr(b, s)
+	if err != nil {
 		return b, fmt.Errorf("%w: string field of %d bytes", ErrProtocol, len(s))
 	}
-	return append(appendU16(b, uint16(len(s))), s...), nil
+	return b, nil
 }
 
 // Send writes one message as a single frame with one underlying write.
@@ -203,7 +194,7 @@ func (c *BinaryCodec) Send(m Message) error {
 	if b, err = appendStr(b, m.Tenant); err != nil {
 		return err
 	}
-	b = appendU64(b, uint64(int64(m.Slot)))
+	b = binenc.AppendU64(b, uint64(int64(m.Slot)))
 	if ver >= binVersionTrace {
 		if b, err = appendStr(b, m.Trace); err != nil {
 			return err
@@ -214,7 +205,7 @@ func (c *BinaryCodec) Send(m Message) error {
 		if len(m.Racks) > math.MaxUint16 {
 			return fmt.Errorf("%w: %d racks in hello", ErrProtocol, len(m.Racks))
 		}
-		b = appendU16(b, uint16(len(m.Racks)))
+		b = binenc.AppendU16(b, uint16(len(m.Racks)))
 		for _, r := range m.Racks {
 			if b, err = appendStr(b, r); err != nil {
 				return err
@@ -225,18 +216,18 @@ func (c *BinaryCodec) Send(m Message) error {
 		if len(m.Bids) > math.MaxUint16 {
 			return fmt.Errorf("%w: %d bids in one message", ErrProtocol, len(m.Bids))
 		}
-		b = appendU16(b, uint16(len(m.Bids)))
+		b = binenc.AppendU16(b, uint16(len(m.Bids)))
 		for _, rb := range m.Bids {
 			if b, err = appendStr(b, rb.Rack); err != nil {
 				return err
 			}
-			b = appendF64(b, rb.DMax)
-			b = appendF64(b, rb.QMin)
-			b = appendF64(b, rb.DMin)
-			b = appendF64(b, rb.QMax)
+			b = binenc.AppendF64(b, rb.DMax)
+			b = binenc.AppendF64(b, rb.QMin)
+			b = binenc.AppendF64(b, rb.DMin)
+			b = binenc.AppendF64(b, rb.QMax)
 		}
 	case TypePrice:
-		b = appendF64(b, m.Price)
+		b = binenc.AppendF64(b, m.Price)
 		if b, err = appendGrants(b, m.Grants); err != nil {
 			return err
 		}
@@ -263,74 +254,24 @@ func appendGrants(b []byte, grants []Grant) ([]byte, error) {
 	if len(grants) > math.MaxUint32 {
 		return b, fmt.Errorf("%w: %d grants in one message", ErrProtocol, len(grants))
 	}
-	b = appendU32(b, uint32(len(grants)))
+	b = binenc.AppendU32(b, uint32(len(grants)))
 	var err error
 	for _, g := range grants {
 		if b, err = appendStr(b, g.Rack); err != nil {
 			return b, err
 		}
-		b = appendF64(b, g.Watts)
+		b = binenc.AppendF64(b, g.Watts)
 	}
 	return b, nil
 }
 
-// binReader walks one frame's payload with bounds checking.
-type binReader struct {
-	b   []byte
-	off int
-}
-
-func (r *binReader) need(n int) error {
-	if len(r.b)-r.off < n {
-		return fmt.Errorf("%w: truncated binary frame", ErrProtocol)
-	}
-	return nil
-}
-
-func (r *binReader) u16() (uint16, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *binReader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *binReader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *binReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
 // str decodes one string, interned through the codec's table so repeated
 // vocabulary (tenant names, rack IDs) costs no allocation in steady state.
-func (r *binReader) str(c *BinaryCodec) (string, error) {
-	n, err := r.u16()
+func (c *BinaryCodec) str(r *binenc.Reader) (string, error) {
+	raw, err := r.Str16()
 	if err != nil {
 		return "", err
 	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	raw := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
 	// The compiler elides the []byte→string conversion in a map index, so
 	// a hit is allocation-free.
 	if s, ok := c.names[string(raw)]; ok {
@@ -340,22 +281,6 @@ func (r *binReader) str(c *BinaryCodec) (string, error) {
 	if len(c.names) < maxInterned {
 		c.names[s] = s
 	}
-	return s, nil
-}
-
-// rawStr decodes one string without interning — for fields whose values
-// never repeat (trace contexts), where interning would only grow the
-// table toward its cap.
-func (r *binReader) rawStr() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
 	return s, nil
 }
 
@@ -396,36 +321,51 @@ func (c *BinaryCodec) Recv() (Message, error) {
 	if _, err := io.ReadFull(c.r, c.dec); err != nil {
 		return Message{}, noEOF(err)
 	}
-	c.rd = binReader{b: c.dec}
-	r := &c.rd
 	m := Message{Type: typ}
-	var err error
-	if m.Tenant, err = r.str(c); err != nil {
+	if err := c.decodePayload(&m, hdr[1]); err != nil {
+		if errors.Is(err, binenc.ErrTruncated) {
+			err = fmt.Errorf("%w: truncated binary frame", ErrProtocol)
+		}
 		return Message{}, err
 	}
-	slot, err := r.u64()
+	return m, nil
+}
+
+// decodePayload walks the frame payload held in c.dec into m (whose Type
+// is set).
+func (c *BinaryCodec) decodePayload(m *Message, ver byte) error {
+	c.rd = binenc.Reader{B: c.dec}
+	r := &c.rd
+	typ := m.Type
+	var err error
+	if m.Tenant, err = c.str(r); err != nil {
+		return err
+	}
+	slot, err := r.U64()
 	if err != nil {
-		return Message{}, err
+		return err
 	}
 	m.Slot = int(int64(slot))
-	if hdr[1] >= binVersionTrace {
+	if ver >= binVersionTrace {
 		// Trace fields are per-slot unique, so interning them would churn
-		// the vocabulary table; read raw instead.
-		if m.Trace, err = r.rawStr(); err != nil {
-			return Message{}, err
+		// the vocabulary table toward its cap; read raw instead.
+		raw, err := r.Str16()
+		if err != nil {
+			return err
 		}
+		m.Trace = string(raw)
 	}
 	switch typ {
 	case TypeHello:
-		cnt, err := r.u16()
+		cnt, err := r.U16()
 		if err != nil {
-			return Message{}, err
+			return err
 		}
 		c.racks = c.racks[:0]
 		for i := 0; i < int(cnt); i++ {
-			s, err := r.str(c)
+			s, err := c.str(r)
 			if err != nil {
-				return Message{}, err
+				return err
 			}
 			c.racks = append(c.racks, s)
 		}
@@ -434,32 +374,32 @@ func (c *BinaryCodec) Recv() (Message, error) {
 		}
 	case TypeHeartBeat:
 	case TypeBid:
-		cnt, err := r.u16()
+		cnt, err := r.U16()
 		if err != nil {
-			return Message{}, err
+			return err
 		}
 		// Each bid is at least 2+4×8 bytes; reject counts the frame cannot
 		// hold before allocating anything proportional to them.
-		if err := r.need(int(cnt) * (2 + 4*8)); err != nil {
-			return Message{}, err
+		if err := r.Need(int(cnt) * (2 + 4*8)); err != nil {
+			return err
 		}
 		c.bids = c.bids[:0]
 		for i := 0; i < int(cnt); i++ {
 			var rb RackBid
-			if rb.Rack, err = r.str(c); err != nil {
-				return Message{}, err
+			if rb.Rack, err = c.str(r); err != nil {
+				return err
 			}
-			if rb.DMax, err = r.f64(); err != nil {
-				return Message{}, err
+			if rb.DMax, err = r.F64(); err != nil {
+				return err
 			}
-			if rb.QMin, err = r.f64(); err != nil {
-				return Message{}, err
+			if rb.QMin, err = r.F64(); err != nil {
+				return err
 			}
-			if rb.DMin, err = r.f64(); err != nil {
-				return Message{}, err
+			if rb.DMin, err = r.F64(); err != nil {
+				return err
 			}
-			if rb.QMax, err = r.f64(); err != nil {
-				return Message{}, err
+			if rb.QMax, err = r.F64(); err != nil {
+				return err
 			}
 			c.bids = append(c.bids, rb)
 		}
@@ -467,42 +407,39 @@ func (c *BinaryCodec) Recv() (Message, error) {
 			m.Bids = c.bids
 		}
 	case TypePrice:
-		if m.Price, err = r.f64(); err != nil {
-			return Message{}, err
+		if m.Price, err = r.F64(); err != nil {
+			return err
 		}
 		if m.Grants, err = c.readGrants(r); err != nil {
-			return Message{}, err
+			return err
 		}
 	case TypeBudgetReset:
 		if m.Grants, err = c.readGrants(r); err != nil {
-			return Message{}, err
+			return err
 		}
 	case TypeError:
-		if m.Detail, err = r.str(c); err != nil {
-			return Message{}, err
+		if m.Detail, err = c.str(r); err != nil {
+			return err
 		}
 	}
-	if r.off != len(r.b) {
-		return Message{}, fmt.Errorf("%w: %d trailing bytes in %s frame", ErrProtocol, len(r.b)-r.off, typ)
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in %s frame", ErrProtocol, r.Len(), typ)
 	}
-	return m, nil
+	return nil
 }
 
-func (c *BinaryCodec) readGrants(r *binReader) ([]Grant, error) {
-	cnt, err := r.u32()
+func (c *BinaryCodec) readGrants(r *binenc.Reader) ([]Grant, error) {
+	cnt, err := r.Count(2 + 8)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.need(int(cnt) * (2 + 8)); err != nil {
-		return nil, err
-	}
 	c.grants = c.grants[:0]
-	for i := 0; i < int(cnt); i++ {
+	for i := 0; i < cnt; i++ {
 		var g Grant
-		if g.Rack, err = r.str(c); err != nil {
+		if g.Rack, err = c.str(r); err != nil {
 			return nil, err
 		}
-		if g.Watts, err = r.f64(); err != nil {
+		if g.Watts, err = r.F64(); err != nil {
 			return nil, err
 		}
 		c.grants = append(c.grants, g)

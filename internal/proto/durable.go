@@ -12,15 +12,45 @@
 package proto
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
+	"spotdc/internal/binenc"
 	"spotdc/internal/operator"
 	"spotdc/internal/wal"
 )
 
-// walTypeSlot is the WAL record type for one committed slot.
-const walTypeSlot byte = 0x01
+// WAL record types. walTypeSlot is one committed slot in the binary layout
+// below; walTypeSlotJSON is the JSON record earlier builds wrote, which
+// recovery refuses by name instead of decoding (no deployed state
+// directories exist, so there is no second decoder to keep in step).
+const (
+	walTypeSlotJSON byte = 0x01
+	walTypeSlot     byte = 0x02
+)
+
+// Payload layouts (internal/binenc conventions; DESIGN §4h). The operator
+// owns the encoding of its own state, this file only frames it:
+//
+//	slot record                            snapshot
+//	u8   version (1)                       u8   version (1)
+//	u8   flags (bit0 degraded,             u8   flags (bit0 have_taken)
+//	            bit1 commit follows)       i64  taken
+//	i64  slot                              u32+bytes ExtraSnapshot (opaque)
+//	u32+bytes ExtraSlot (opaque)           operator.Checkpoint, to the end
+//	[operator.SlotCommit, to the end]
+const (
+	durableVersion = 1
+
+	slotFlagDegraded = 1 << 0
+	slotFlagCommit   = 1 << 1
+	snapFlagTaken    = 1 << 0
+)
+
+// errOlderVersion is the recovery error for state written before the
+// binary records.
+var errOlderVersion = errors.New("written by an older version of spotdc (JSON WAL payload); " +
+	"this build reads binary records only and keeps no compatibility decoder — start from a fresh state directory")
 
 // defaultSnapshotEvery is how many committed slots elapse between automatic
 // snapshots when Durable.SnapshotEvery is zero.
@@ -53,22 +83,10 @@ type Durable struct {
 	OnCommit func(slot int, out operator.SlotOutcome)
 
 	sinceSnapshot int
-}
-
-// durableSlotRecord is the JSON payload of one walTypeSlot record.
-type durableSlotRecord struct {
-	Slot     int                  `json:"slot"`
-	Degraded bool                 `json:"degraded,omitempty"`
-	Commit   *operator.SlotCommit `json:"commit,omitempty"`
-	Extra    json.RawMessage      `json:"extra,omitempty"`
-}
-
-// durableSnapshot is the JSON payload of a WAL snapshot frame.
-type durableSnapshot struct {
-	Checkpoint operator.Checkpoint `json:"checkpoint"`
-	Taken      int                 `json:"taken"`
-	HaveTaken  bool                `json:"have_taken"`
-	Extra      json.RawMessage     `json:"extra,omitempty"`
+	// buf and names are the record encoder's scratch: every slot record is
+	// built once into buf and handed to the log whole.
+	buf   []byte
+	names binenc.Names
 }
 
 func (d *Durable) validate() error {
@@ -82,24 +100,23 @@ func (d *Durable) validate() error {
 }
 
 // commitSlot appends the slot's WAL record and makes it durable under the
-// log's sync policy. WAL failures are sticky inside the log and must never
-// stop the market (availability over durability — the operator keeps
-// clearing on a full disk); callers surface Log.Err() at shutdown.
+// log's sync policy. WAL failures must never stop the market (availability
+// over durability — the operator keeps clearing on a full disk), and must
+// never be silent either: whatever keeps a record from being built or
+// appended — an ExtraSlot hook, a name too long to encode, a payload over
+// wal.MaxRecord, an I/O error — lands in the log's sticky error, which ends
+// the log at the last complete slot and is surfaced by Log.Err() at
+// shutdown. A nil commit records a degraded slot.
 func (d *Durable) commitSlot(op *operator.Operator, srv *Server, slot int, commit *operator.SlotCommit) {
-	rec := durableSlotRecord{Slot: slot, Degraded: commit == nil, Commit: commit}
-	if d.ExtraSlot != nil {
-		if extra, err := d.ExtraSlot(slot); err == nil {
-			rec.Extra = extra
-		}
-	}
-	data, err := json.Marshal(rec)
+	data, err := d.encodeSlot(slot, commit)
 	if err != nil {
+		d.Log.Fail(err)
 		return
 	}
 	if _, err := d.Log.Append(walTypeSlot, data); err != nil {
-		return
+		return // sticky inside the log
 	}
-	_ = d.Log.SlotSync()
+	_ = d.Log.SlotSync() // likewise
 	every := d.SnapshotEvery
 	if every == 0 {
 		every = defaultSnapshotEvery
@@ -110,24 +127,108 @@ func (d *Durable) commitSlot(op *operator.Operator, srv *Server, slot int, commi
 	}
 }
 
-// snapshot persists a full checkpoint and compacts covered segments.
-func (d *Durable) snapshot(op *operator.Operator, srv *Server) {
-	snap := durableSnapshot{Checkpoint: op.Checkpoint()}
-	if srv != nil {
-		snap.Taken, snap.HaveTaken = srv.MarketPosition()
+// encodeSlot builds the slot record into d.buf; the result is valid until
+// the next encode. Steady state allocates nothing here.
+func (d *Durable) encodeSlot(slot int, commit *operator.SlotCommit) ([]byte, error) {
+	var flags byte = slotFlagCommit
+	if commit == nil {
+		flags = slotFlagDegraded
 	}
+	b := append(d.buf[:0], durableVersion, flags)
+	b = binenc.AppendInt(b, slot)
+	var extra []byte
+	var err error
+	if d.ExtraSlot != nil {
+		if extra, err = d.ExtraSlot(slot); err != nil {
+			return nil, fmt.Errorf("proto: slot %d record: extra state: %w", slot, err)
+		}
+	}
+	if b, err = binenc.AppendBytes(b, extra); err == nil && commit != nil {
+		b, err = commit.AppendBinary(b, &d.names)
+	}
+	d.buf = b[:0] // keep the grown scratch
+	if err != nil {
+		return nil, fmt.Errorf("proto: slot %d record: %w", slot, err)
+	}
+	return b, nil
+}
+
+// snapshot persists a full checkpoint and compacts covered segments. Like
+// commitSlot, every failure is sticky in the log.
+func (d *Durable) snapshot(op *operator.Operator, srv *Server) {
+	var flags byte
+	taken := 0
+	if srv != nil {
+		var have bool
+		if taken, have = srv.MarketPosition(); have {
+			flags = snapFlagTaken
+		}
+	}
+	b := append(d.buf[:0], durableVersion, flags)
+	b = binenc.AppendInt(b, taken)
+	var extra []byte
+	var err error
 	if d.ExtraSnapshot != nil {
-		extra, err := d.ExtraSnapshot()
-		if err != nil {
+		if extra, err = d.ExtraSnapshot(); err != nil {
+			d.Log.Fail(fmt.Errorf("proto: snapshot: extra state: %w", err))
 			return
 		}
-		snap.Extra = extra
 	}
-	data, err := json.Marshal(snap)
+	if b, err = binenc.AppendBytes(b, extra); err == nil {
+		cp := op.Checkpoint()
+		b, err = cp.AppendBinary(b)
+	}
+	d.buf = b[:0]
 	if err != nil {
+		d.Log.Fail(fmt.Errorf("proto: snapshot: %w", err))
 		return
 	}
-	_ = d.Log.Snapshot(data)
+	_ = d.Log.Snapshot(b) // sticky inside the log
+}
+
+// slotRecord is one decoded slot record. Commit is nil for a degraded
+// slot; Commit and Extra borrow from the decoder's scratch and the record
+// bytes.
+type slotRecord struct {
+	Slot     int
+	Degraded bool
+	Commit   *operator.SlotCommit
+	Extra    []byte
+}
+
+// decodeSlotRecord decodes a walTypeSlot payload, filling into (reused
+// across records) when a commit follows.
+func decodeSlotRecord(data []byte, into *operator.SlotCommit) (slotRecord, error) {
+	r := binenc.Reader{B: data}
+	var rec slotRecord
+	flags, err := readDurableHeader(&r, slotFlagDegraded|slotFlagCommit)
+	if err != nil {
+		return rec, err
+	}
+	rec.Degraded = flags&slotFlagDegraded != 0
+	if rec.Degraded == (flags&slotFlagCommit != 0) {
+		return rec, fmt.Errorf("flags %#02x: a slot is either degraded or carries a commit", flags)
+	}
+	if rec.Slot, err = r.Int(); err != nil {
+		return rec, err
+	}
+	if rec.Extra, err = r.Bytes32(); err != nil {
+		return rec, err
+	}
+	if rec.Degraded {
+		return rec, r.End()
+	}
+	rec.Commit = into
+	return rec, into.UnmarshalBinary(r.B[r.Off:])
+}
+
+// readDurableHeader reads the version and flags bytes both payloads open
+// with; a payload that opens with '{' is an earlier build's JSON.
+func readDurableHeader(r *binenc.Reader, knownFlags byte) (flags byte, err error) {
+	if r.Len() > 0 && r.B[r.Off] == '{' {
+		return 0, errOlderVersion
+	}
+	return r.VersionFlags(durableVersion, knownFlags)
 }
 
 // Recovered reports what RecoverDurable rebuilt from a state directory.
@@ -159,36 +260,53 @@ func RecoverDurable(rec *wal.Recovery, op *operator.Operator, srv *Server) (*Rec
 	}
 	out := &Recovered{Truncations: rec.Truncations}
 	if rec.Snapshot != nil {
-		var snap durableSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		r := binenc.Reader{B: rec.Snapshot}
+		flags, err := readDurableHeader(&r, snapFlagTaken)
+		if err != nil {
+			return nil, fmt.Errorf("proto: snapshot payload: %w", err)
+		}
+		taken, err := r.Int()
+		if err != nil {
 			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
 		}
-		if err := op.Restore(snap.Checkpoint); err != nil {
+		extra, err := r.Bytes32()
+		if err != nil {
+			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
+		}
+		var cp operator.Checkpoint
+		if err := cp.UnmarshalBinary(r.B[r.Off:]); err != nil {
+			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
+		}
+		if err := op.Restore(cp); err != nil {
 			return nil, err
 		}
 		out.HadSnapshot = true
-		out.ExtraSnapshot = snap.Extra
-		if snap.HaveTaken {
-			out.NextSlot = snap.Taken + 1
+		if len(extra) > 0 {
+			out.ExtraSnapshot = extra
+		}
+		if flags&snapFlagTaken != 0 {
+			out.NextSlot = taken + 1
 		}
 	}
+	var commit operator.SlotCommit // decode scratch, reused across records
 	for _, r := range rec.Records {
+		if r.Type == walTypeSlotJSON {
+			return nil, fmt.Errorf("proto: slot record seq %d: %w", r.Seq, errOlderVersion)
+		}
 		if r.Type != walTypeSlot {
 			continue
 		}
-		var sr durableSlotRecord
-		if err := json.Unmarshal(r.Data, &sr); err != nil {
+		sr, err := decodeSlotRecord(r.Data, &commit)
+		if err != nil {
 			return nil, fmt.Errorf("proto: corrupt slot record seq %d: %w", r.Seq, err)
 		}
 		if sr.Degraded {
 			out.DegradedReplayed++
-		} else if sr.Commit != nil {
-			if err := op.ApplySlotCommit(*sr.Commit); err != nil {
-				return nil, fmt.Errorf("proto: slot record %d: %w", sr.Slot, err)
-			}
+		} else if err := op.ApplySlotCommit(*sr.Commit); err != nil {
+			return nil, fmt.Errorf("proto: slot record %d: %w", sr.Slot, err)
 		}
 		out.SlotsReplayed++
-		if sr.Extra != nil {
+		if len(sr.Extra) > 0 {
 			out.ExtraSlots = append(out.ExtraSlots, sr.Extra)
 		}
 		if sr.Slot+1 > out.NextSlot {

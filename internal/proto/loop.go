@@ -98,8 +98,9 @@ type MarketLoop struct {
 	// the run once tripped.
 	BreakerCooldownSlots int
 	// Journal, if non-nil, receives one structured SlotEvent per slot —
-	// cleared or degraded — as a JSON line (the operator's after-the-fact
-	// record; /metrics is the live aggregate view). A nil Journal is free.
+	// cleared or degraded — as one journal line (the operator's after-the-
+	// fact record; /metrics is the live aggregate view). A nil Journal is
+	// free.
 	Journal *metrics.Journal
 	// FaultCounts, if non-nil, supplies the cumulative injected-fault
 	// counts stamped onto each journal event (harnesses wire it to their
@@ -148,6 +149,9 @@ type MarketLoop struct {
 	tripped     bool
 	cooldown    int
 	curTrace    otrace.SpanContext
+	// Journal capture scratch, lent to each slot's SlotEvent.
+	bidSet   []metrics.BidRecord
+	grantSet []metrics.GrantRecord
 }
 
 // SlotErrors returns how many slots degraded to the no-spot default
@@ -239,7 +243,7 @@ func (l *MarketLoop) appendJournal(ev metrics.SlotEvent) {
 	_ = l.Journal.Append(ev)
 }
 
-// writeJournalHeader lazily writes the schema-v2 header as the journal's
+// writeJournalHeader lazily writes the schema header as the journal's
 // first line: the static half of a deterministic replay (topology, market
 // options, prediction factor, slot length). Wired here rather than at
 // journal construction so the journal package stays free of operator and
@@ -280,45 +284,44 @@ func (l *MarketLoop) writeJournalHeader() {
 	_ = l.Journal.Header(h)
 }
 
-// captureInputs fills the event's schema-v2 full-input fields for a cleared
-// slot: the bids, the reading (copied — harnesses reuse reading buffers
-// across slots), the predicted spot capacities, and the grants. Degraded
-// slots are not captured: their readings may hold NaN, which JSON cannot
-// encode, and their outcome (no grants, no revenue) is fully described by
-// the v1 fields plus Err.
-func captureInputs(ev *metrics.SlotEvent, bids []core.Bid, rd power.Reading, out operator.SlotOutcome) {
+// captureInputs fills the event's full-input fields for a cleared slot: the
+// bids, the reading, the predicted spot capacities, and the grants. Nothing
+// is copied: the event borrows the reading's and the outcome's slices and
+// the loop's own scratch, which is sound because Journal.Append serializes
+// the event before the slot ends (metrics.SlotEvent). Degraded slots are
+// not captured: their readings may be corrupt, and their outcome (no
+// grants, no revenue) is fully described by the v1 fields plus Err.
+func (l *MarketLoop) captureInputs(ev *metrics.SlotEvent, bids []core.Bid, rd power.Reading, out operator.SlotOutcome) {
 	ev.Algorithm = out.Result.Algorithm.String()
 	ev.Evaluations = out.Result.Evaluations
-	ev.PDUSpot = append([]float64(nil), out.Spot.PDUWatts...)
+	ev.PDUSpot = out.Spot.PDUWatts
 	ev.UPSSpot = out.Spot.UPSWatts
-	ev.RackWatts = append([]float64(nil), rd.RackWatts...)
-	ev.OtherPDUWatts = append([]float64(nil), rd.OtherPDUWatts...)
-	if len(bids) > 0 {
-		ev.BidSet = make([]metrics.BidRecord, 0, len(bids))
-		for _, b := range bids {
-			lb, ok := b.Fn.(core.LinearBid)
-			if !ok {
-				// A demand function with no four-parameter wire form cannot
-				// be journaled; mark the capture partial so replay falls
-				// back to outcome-level checks.
-				ev.BidSet = nil
-				ev.InputsTruncated = true
-				break
-			}
-			ev.BidSet = append(ev.BidSet, metrics.BidRecord{
-				Rack: b.Rack, Tenant: b.Tenant,
-				DMax: lb.DMax, DMin: lb.DMin, QMin: lb.QMin, QMax: lb.QMax,
-			})
+	ev.RackWatts = rd.RackWatts
+	ev.OtherPDUWatts = rd.OtherPDUWatts
+	set := l.bidSet[:0]
+	for _, b := range bids {
+		lb, ok := b.Fn.(core.LinearBid)
+		if !ok {
+			// A demand function with no four-parameter wire form cannot
+			// be journaled; mark the capture partial so replay falls
+			// back to outcome-level checks.
+			set = set[:0]
+			ev.InputsTruncated = true
+			break
+		}
+		set = append(set, metrics.BidRecord{
+			Rack: b.Rack, Tenant: b.Tenant,
+			DMax: lb.DMax, DMin: lb.DMin, QMin: lb.QMin, QMax: lb.QMax,
+		})
+	}
+	l.bidSet, ev.BidSet = set, set
+	grants := l.grantSet[:0]
+	for _, a := range out.Result.Allocations {
+		if a.Watts > 0 {
+			grants = append(grants, metrics.GrantRecord{Rack: a.Rack, Watts: a.Watts})
 		}
 	}
-	if n := ev.Grants; n > 0 {
-		ev.GrantSet = make([]metrics.GrantRecord, 0, n)
-		for _, a := range out.Result.Allocations {
-			if a.Watts > 0 {
-				ev.GrantSet = append(ev.GrantSet, metrics.GrantRecord{Rack: a.Rack, Watts: a.Watts})
-			}
-		}
-	}
+	l.grantSet, ev.GrantSet = grants, grants
 }
 
 // captureEmergency fills the event's responder fields: the suspensions
@@ -327,9 +330,7 @@ func captureInputs(ev *metrics.SlotEvent, bids []core.Bid, rd power.Reading, out
 // empty when the responder is off, keeping such journals byte-identical.
 func captureEmergency(ev *metrics.SlotEvent, op *operator.Operator) {
 	pdus, ups := op.AppliedSuspensions()
-	if len(pdus) > 0 {
-		ev.SuspendedPDUs = append([]int(nil), pdus...)
-	}
+	ev.SuspendedPDUs = pdus
 	ev.SuspendedUPS = ups
 	for _, plan := range op.LastReclaims() {
 		rec := metrics.ReclaimRecord{
@@ -505,7 +506,7 @@ func (l *MarketLoop) RunSlots(fromSlot, slots int) (int, error) {
 				Bids:        len(bids),
 				ClearMicros: out.ClearDuration.Microseconds(),
 			}
-			captureInputs(&ev, bids, rd, out)
+			l.captureInputs(&ev, bids, rd, out)
 			if emergencyChecked {
 				captureEmergency(&ev, l.Operator)
 			}

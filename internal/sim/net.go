@@ -91,10 +91,10 @@ type NetRunOptions struct {
 	// both fault injectors — so /metrics shows sessions, bid rejections,
 	// broadcast outcomes, and injected faults live.
 	Registry *metrics.Registry
-	// Journal, if non-nil, receives one structured SlotEvent JSON line per
+	// Journal, if non-nil, receives one structured SlotEvent line per
 	// market slot (cleared or degraded), stamped with the cumulative
 	// injected-fault counts of both directions. The journal opens with a
-	// schema-v2 header, making the run deterministically replayable by
+	// schema header, making the run deterministically replayable by
 	// internal/audit and cmd/spotdc-audit.
 	Journal *metrics.Journal
 	// Audit attaches a conservation auditor to the market core and, after

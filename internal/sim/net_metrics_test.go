@@ -107,8 +107,8 @@ func TestNetRunMetricsMatchFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr == nil || hdr.Schema != metrics.JournalSchemaV2 {
-		t.Fatalf("journal header = %+v, want schema %s", hdr, metrics.JournalSchemaV2)
+	if hdr == nil || hdr.Schema != metrics.JournalSchemaV3 {
+		t.Fatalf("journal header = %+v, want schema %s", hdr, metrics.JournalSchemaV3)
 	}
 	if len(events) != 220 {
 		t.Fatalf("journal has %d events, want 220", len(events))

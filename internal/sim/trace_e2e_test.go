@@ -99,8 +99,8 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr == nil || hdr.Schema != metrics.JournalSchemaV2 {
-		t.Fatalf("journal header = %+v, want schema %s", hdr, metrics.JournalSchemaV2)
+	if hdr == nil || hdr.Schema != metrics.JournalSchemaV3 {
+		t.Fatalf("journal header = %+v, want schema %s", hdr, metrics.JournalSchemaV3)
 	}
 	if len(events) != sc.Slots {
 		t.Fatalf("journal has %d events, want %d", len(events), sc.Slots)

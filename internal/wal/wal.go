@@ -43,8 +43,9 @@ const (
 	crcSize      = 4
 
 	// MaxRecord bounds one record's payload (the u24 length field). A
-	// 15,000-rack slot record or operator checkpoint is single-digit
-	// megabytes of JSON, comfortably inside it.
+	// 15,000-rack binary slot record is ≈ 0.3 MB (≈ 20 B/rack), so the
+	// bound is reached near 800,000 racks; an oversize payload fails the
+	// log (see Fail) rather than being dropped silently.
 	MaxRecord = 1<<24 - 1
 
 	segPrefix  = "wal-"
@@ -177,8 +178,8 @@ func (r *Recovery) Empty() bool {
 }
 
 // Log is an append-only segmented write-ahead log. All methods are safe
-// for concurrent use; the append path is allocation-free apart from the
-// OS write itself (the frame header is built in a scratch buffer).
+// for concurrent use; the append path is allocation-free in steady state
+// (each frame is assembled in a reused buffer and written with one Write).
 type Log struct {
 	opts Options
 	met  *Metrics
@@ -194,8 +195,7 @@ type Log struct {
 	closed  bool
 	err     error // sticky I/O error
 
-	hdr [headerSize]byte
-	crc [crcSize]byte
+	frame []byte // frame scratch: header + payload + CRC, written whole
 
 	timerStop chan struct{}
 	timerWG   sync.WaitGroup
@@ -435,13 +435,34 @@ func (l *Log) observeSegments() {
 	}
 }
 
-// fail records the first I/O error; every later call returns it. A durable
+// fail records the first error; every later call returns it. A durable
 // log that cannot write must not silently pretend it did.
 func (l *Log) fail(err error) error {
 	if l.err == nil {
 		l.err = err
 	}
 	return l.err
+}
+
+// Fail makes err the log's sticky error, unless one is already set. It is
+// how a caller that could not even build a record — an encoder or an
+// extra-state hook failed — stops the log at the last complete record: a
+// log with a hole in its slot sequence would recover to books that are
+// silently wrong, one that ends early recovers to a known slot, and either
+// way Err reports why at shutdown.
+func (l *Log) Fail(err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_ = l.fail(err) // the sticky error is what Err is for
+}
+
+// appendFrame assembles [header][payload][CRC32C] onto b.
+func appendFrame(b []byte, typ byte, data []byte) []byte {
+	start := len(b)
+	b = append(b, frameMagic, frameVersion, typ,
+		byte(len(data)>>16), byte(len(data)>>8), byte(len(data)))
+	b = append(b, data...)
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
 // Append writes one record and returns its sequence number. Under
@@ -451,9 +472,6 @@ func (l *Log) Append(typ byte, data []byte) (uint64, error) {
 	if typ >= snapFrameType {
 		return 0, fmt.Errorf("wal: record type %#x reserved", typ)
 	}
-	if len(data) > MaxRecord {
-		return 0, fmt.Errorf("wal: record %d bytes exceeds %d", len(data), MaxRecord)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -462,27 +480,21 @@ func (l *Log) Append(typ byte, data []byte) (uint64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
-	l.hdr = [headerSize]byte{frameMagic, frameVersion, typ,
-		byte(len(data) >> 16), byte(len(data) >> 8), byte(len(data))}
-	crc := crc32.Update(0, castagnoli, l.hdr[:])
-	crc = crc32.Update(crc, castagnoli, data)
-	binary.BigEndian.PutUint32(l.crc[:], crc)
-	if _, err := l.seg.Write(l.hdr[:]); err != nil {
-		return 0, l.fail(fmt.Errorf("wal: %w", err))
+	if len(data) > MaxRecord {
+		// Sticky: the caller's sequence of records has a hole from here on.
+		return 0, l.fail(fmt.Errorf("wal: record %d bytes exceeds %d", len(data), MaxRecord))
 	}
-	if _, err := l.seg.Write(data); err != nil {
-		return 0, l.fail(fmt.Errorf("wal: %w", err))
-	}
-	if _, err := l.seg.Write(l.crc[:]); err != nil {
+	l.frame = appendFrame(l.frame[:0], typ, data)
+	if _, err := l.seg.Write(l.frame); err != nil {
 		return 0, l.fail(fmt.Errorf("wal: %w", err))
 	}
 	seq := l.nextSeq
 	l.nextSeq++
-	l.segLen += int64(headerSize + len(data) + crcSize)
+	l.segLen += int64(len(l.frame))
 	l.dirty = true
 	if l.met != nil {
 		l.met.appends.Inc()
-		l.met.appendBytes.Add(uint64(headerSize + len(data) + crcSize))
+		l.met.appendBytes.Add(uint64(len(l.frame)))
 	}
 	if l.opts.Policy == SyncEveryRecord {
 		if err := l.syncLocked(); err != nil {
@@ -561,13 +573,13 @@ func (l *Log) rotateLocked() error {
 // window. After Snapshot returns, recovery needs only the snapshot plus
 // records appended after this call.
 func (l *Log) Snapshot(data []byte) error {
-	if len(data) > MaxRecord {
-		return fmt.Errorf("wal: snapshot %d bytes exceeds %d", len(data), MaxRecord)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if len(data) > MaxRecord {
+		return l.fail(fmt.Errorf("wal: snapshot %d bytes exceeds %d", len(data), MaxRecord))
 	}
 	// Seal the segment first: a snapshot must never cover records that are
 	// not themselves durable yet.
@@ -577,14 +589,8 @@ func (l *Log) Snapshot(data []byte) error {
 	seq := l.nextSeq
 	path := l.snapPath(seq)
 	tmp := path + ".tmp"
-	frame := make([]byte, 0, headerSize+len(data)+crcSize)
-	frame = append(frame, frameMagic, frameVersion, snapFrameType,
-		byte(len(data)>>16), byte(len(data)>>8), byte(len(data)))
-	frame = append(frame, data...)
-	var crcb [crcSize]byte
-	binary.BigEndian.PutUint32(crcb[:], crc32.Checksum(frame, castagnoli))
-	frame = append(frame, crcb[:]...)
-	if err := writeFileSync(tmp, frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], snapFrameType, data)
+	if err := writeFileSync(tmp, l.frame); err != nil {
 		return l.fail(err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -305,5 +306,63 @@ func TestMetricsFamilies(t *testing.T) {
 	defer l2.Close()
 	if got, _ := reg.Value("spotdc_wal_recovery_truncations_total"); got != 1 {
 		t.Errorf("truncations = %v, want 1", got)
+	}
+}
+
+// TestOversizeAndFailAreSticky: a record or snapshot too large for the u24
+// length field, and a failure the caller reports through Fail, each stop
+// the log at its last complete record — Err reports the first cause, later
+// appends are refused, and what was appended before recovers intact.
+func TestOversizeAndFailAreSticky(t *testing.T) {
+	boom := errors.New("encoder failed")
+	for name, breakIt := range map[string]func(*Log) error{
+		"oversize-append":   func(l *Log) error { _, err := l.Append(1, make([]byte, MaxRecord+1)); return err },
+		"oversize-snapshot": func(l *Log) error { return l.Snapshot(make([]byte, MaxRecord+1)) },
+		"fail":              func(l *Log) error { l.Fail(boom); return boom },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, Options{Dir: dir, Policy: SyncEveryRecord})
+			if _, err := l.Append(1, []byte("kept")); err != nil {
+				t.Fatal(err)
+			}
+			first := breakIt(l)
+			if first == nil || l.Err() == nil || l.Err().Error() != first.Error() {
+				t.Fatalf("failure returned %v, Err() = %v", first, l.Err())
+			}
+			if _, err := l.Append(1, []byte("after")); err == nil || err.Error() != first.Error() {
+				t.Fatalf("Append after the failure: %v, want the sticky %v", err, first)
+			}
+			if l.Fail(errors.New("second cause")); l.Err().Error() != first.Error() {
+				t.Fatalf("a later Fail replaced the first cause: %v", l.Err())
+			}
+			l.Close()
+			_, rec := openT(t, Options{Dir: dir})
+			if len(rec.Records) != 1 || string(rec.Records[0].Data) != "kept" || rec.Snapshot != nil {
+				t.Fatalf("recovered %+v", rec)
+			}
+		})
+	}
+}
+
+// TestAppendReusesFrameBuffer: a record is assembled whole (header,
+// payload, CRC) in the log's reused frame buffer and written from there,
+// so the steady-state append allocates nothing.
+func TestAppendReusesFrameBuffer(t *testing.T) {
+	l, _ := openT(t, Options{Dir: t.TempDir(), Policy: SyncTimer, TimerInterval: time.Hour})
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0xab}, 4096)
+	if _, err := l.Append(1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := l.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Append: %.1f allocs/op, want 0", allocs)
+	}
+	if want := headerSize + len(payload) + crcSize; len(l.frame) != want {
+		t.Errorf("frame scratch holds %d bytes, want one %d-byte frame", len(l.frame), want)
 	}
 }

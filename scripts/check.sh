@@ -24,7 +24,7 @@
 #      budget resets, tenant budget broadcasts, suspension and recovery —
 #      under the race detector (make smoke-emergency)
 #   8. the audit-replay gate: the seeded 220-slot networked fault run
-#      journals full slot inputs (schema v2) and the offline auditor
+#      journals full slot inputs (schema v3) and the offline auditor
 #      (internal/audit) replays every cleared slot bit-identically
 #      through both clearing engines, re-checking the conservation
 #      invariants end to end (make audit-replay)
@@ -44,14 +44,19 @@
 #      state directory each time; books, responder state, billing
 #      invoices and the slot journal must come out bit-identical to an
 #      uninterrupted run (make smoke-crash)
-#  12. a one-iteration smoke of the Fig. 7(b) clearing benchmark, which
+#  12. the fuzz smoke: 10 s each of the two fuzzers that read the slot's
+#      records back — the journal's packed-section decoder and the WAL
+#      slot-record decoder — so hostile counts, lengths and trailing bytes
+#      are exercised past the seed corpora on every check (make fuzz-smoke)
+#  13. a one-iteration smoke of the Fig. 7(b) clearing benchmark, which
 #      doubles as a regression tripwire for the allocation-free hot loop
 #      (the alloc budgets themselves are enforced by TestClearAllocBudget
 #      and, with instrumentation or tracing on, by
 #      TestClearAllocBudgetInstrumented and TestClearAllocBudgetTraced),
 #      and of the wire-layer benchmarks (their steady-state alloc budgets
-#      are enforced by TestWireAllocBudget)
-#  13. the benchmark harness: bench/ is a Go module of its own (replace
+#      are enforced by TestWireAllocBudget, the slot records' by
+#      TestSlotRecordAllocBudget)
+#  14. the benchmark harness: bench/ is a Go module of its own (replace
 #      spotdc => ../), so `./...` above never reaches it; vet and test it
 #      against this checkout so an internal/* API change cannot break the
 #      BENCHMARK.json harness unnoticed
@@ -84,6 +89,9 @@ echo '== smoke: slot-lifecycle tracing + Chrome trace export'
 go test -race -count=1 -run 'TestNetRunSpansMatchFaultSchedule|TestSmokeSpans' ./internal/sim/
 echo '== smoke: crash injection + WAL recovery'
 go test -race -count=1 -run 'TestCrash' ./internal/sim/ ./internal/billing/
+echo '== fuzz smoke: journal packed section + WAL slot record decoders'
+go test -run '^$' -fuzz 'FuzzJournalSectionDecode' -fuzztime 10s ./internal/metrics/
+go test -run '^$' -fuzz 'FuzzSlotRecordDecode' -fuzztime 10s ./internal/proto/
 echo '== bench smoke: Fig. 7(b) clearing'
 go test -run '^$' -bench 'BenchmarkFig7bClearingTime' -benchtime 1x -benchmem .
 echo '== bench smoke: wire codec + broadcast fan-out'

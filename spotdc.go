@@ -505,14 +505,15 @@ type (
 	// MarketServerOptions.Metrics / MarketClientOptions.Metrics /
 	// FaultInjector.SetMetrics).
 	MarketProtoMetrics = proto.Metrics
-	// SlotJournal appends one structured SlotEvent JSON line per market
-	// slot (MarketLoop.Journal).
+	// SlotJournal appends one structured SlotEvent line per market slot
+	// (MarketLoop.Journal): JSON, with a cleared slot's bulk arrays packed
+	// into one base64 binary section (schema v3).
 	SlotJournal = metrics.Journal
 	// SlotEvent is one journal line: price, volume, revenue, degradation
-	// and fault counters for a slot; schema-v2 events additionally carry
-	// the slot's full inputs for deterministic replay.
+	// and fault counters for a slot; cleared events additionally carry the
+	// slot's full inputs for deterministic replay.
 	SlotEvent = metrics.SlotEvent
-	// SlotJournalHeader is the schema-v2 journal's first line: the static
+	// SlotJournalHeader is the journal's first line: the static
 	// configuration (topology, market options, slot length) a replay needs.
 	SlotJournalHeader = metrics.JournalHeader
 
@@ -541,13 +542,21 @@ func NewOperatorMetrics(r *MetricsRegistry) *OperatorMetrics { return operator.N
 // NewMarketProtoMetrics registers the protocol families on r.
 func NewMarketProtoMetrics(r *MetricsRegistry) *MarketProtoMetrics { return proto.NewMetrics(r) }
 
-// NewSlotJournal builds a journal writing JSON lines to w.
+// NewSlotJournal builds a journal writing one line per slot to w.
 func NewSlotJournal(w io.Writer) *SlotJournal { return metrics.NewJournal(w) }
 
-// ReadSlotJournal parses a slot journal (v1 or v2); the header is nil for
-// a v1 journal.
+// ReadSlotJournal parses a slot journal (v1, v2 or v3); the header is nil
+// for a v1 journal.
 func ReadSlotJournal(r io.Reader) (*SlotJournalHeader, []SlotEvent, error) {
 	return metrics.ReadJournal(r)
+}
+
+// DumpSlotJournal re-emits a slot journal of any schema on w as plain
+// expanded JSONL — the binary section a v3 line packs its bulk arrays into
+// written back out as JSON arrays (spotdc-audit -dump). torn reports a
+// dropped torn final line.
+func DumpSlotJournal(w io.Writer, r io.Reader) (torn bool, err error) {
+	return metrics.DumpJournal(w, r)
 }
 
 // ReplayJournal reads a slot journal and re-verifies every invariant its
