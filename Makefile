@@ -40,15 +40,13 @@
 #                       record decoder — past their seed corpora: hostile
 #                       counts, lengths and trailing bytes must be refused
 #                       before anything is sized from them
-#   make bench-proto    wire-layer benchmarks: codec cost per encoding and
-#                       the concurrent broadcast fan-out vs the serial JSON
-#                       baseline
-#   make bench          the full benchmark suite, recorded as the next free
-#                       BENCH_<n>.json artifact (scripts/bench.sh)
+#
+# Performance is measured by the slot-budget benchmark, bench/ (see
+# bench/README.md): bash bench/run.sh -all
 
 GO ?= go
 
-.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash fuzz-smoke audit-replay bench bench-proto
+.PHONY: check test smoke-faults smoke-metrics smoke-emergency smoke-wire smoke-spans smoke-crash fuzz-smoke audit-replay
 
 check:
 	./scripts/check.sh
@@ -81,9 +79,3 @@ fuzz-smoke:
 
 audit-replay:
 	$(GO) test -race -count=1 -v -run 'TestGoldenNetRunJournalReplay' ./internal/audit/
-
-bench-proto:
-	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkBroadcast' -benchmem ./internal/proto/
-
-bench:
-	./scripts/bench.sh

@@ -1,29 +1,28 @@
-// Allocation and overhead budgets for the inline conservation auditor.
-// The auditor rides the clearing hot loop (Options.Audit), so it must
-// preserve the engines' steady-state allocation budgets exactly — 0 for
-// the grid scan, ≤32 for the exact breakpoint search — and stay within a
-// few percent of wall time: its pass is one O(1)-per-bid loop over
-// market-owned scratch.
+// Allocation budgets for the inline conservation auditor. The auditor
+// rides the clearing hot loop (Options.Audit), so it must preserve the
+// engines' steady-state allocation budgets exactly — 0 for the grid scan,
+// ≤32 for the exact breakpoint search: its pass is one O(1)-per-bid loop
+// over market-owned scratch.
 package spotdc_test
 
 import (
 	"testing"
 
-	"spotdc"
+	"spotdc/internal/core"
 )
 
 func TestClearAllocBudgetAudited(t *testing.T) {
 	for _, tc := range []struct {
-		algo   spotdc.ClearingAlgorithm
+		algo   core.Algorithm
 		budget float64
 	}{
-		{spotdc.AlgorithmScan, 0},
-		{spotdc.AlgorithmExact, 32},
+		{core.AlgorithmScan, 0},
+		{core.AlgorithmExact, 32},
 	} {
 		t.Run(tc.algo.String(), func(t *testing.T) {
 			cons, bids := syntheticMarket(15000)
-			aud := &spotdc.Auditor{}
-			mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{
+			aud := &core.Auditor{}
+			mkt, err := core.NewMarket(cons, core.Options{
 				PriceStep: 0.001, Algorithm: tc.algo, Audit: aud,
 			})
 			if err != nil {
@@ -46,40 +45,5 @@ func TestClearAllocBudgetAudited(t *testing.T) {
 				t.Fatalf("synthetic market flagged: %v", aud.Err())
 			}
 		})
-	}
-}
-
-// BenchmarkClearAuditOverhead measures the audited clearing loop against
-// the bare one at the paper's largest operating point. Compare:
-//
-//	go test -bench BenchmarkClearAuditOverhead -benchtime 2s spotdc
-//
-// The acceptance budget is ≤5% overhead for either engine.
-func BenchmarkClearAuditOverhead(b *testing.B) {
-	for _, algo := range []spotdc.ClearingAlgorithm{spotdc.AlgorithmScan, spotdc.AlgorithmExact} {
-		for _, audited := range []bool{false, true} {
-			name := algo.String() + "/bare"
-			opts := spotdc.MarketOptions{PriceStep: 0.001, Algorithm: algo}
-			if audited {
-				name = algo.String() + "/audited"
-				opts.Audit = &spotdc.Auditor{}
-			}
-			b.Run(name, func(b *testing.B) {
-				cons, bids := syntheticMarket(15000)
-				mkt, err := spotdc.NewMarket(cons, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := mkt.Clear(bids); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := mkt.Clear(bids); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -1,27 +1,25 @@
 // Instrumentation must not bend the clearing hot loop's allocation
 // budgets: the metrics design (pre-registered handles, atomics only) means
-// a Clear with a wired MarketMetrics performs the same number of heap
+// a Clear with a wired core.MarketMetrics performs the same number of heap
 // allocations as an unwired one. TestClearAllocBudget pins the uninstrumented
-// budgets; this file pins the instrumented ones to the SAME numbers, and
-// BenchmarkClearMetricsOverhead measures the wall-clock cost of metrics-on
-// vs metrics-off (the PR target is <= 5%; run with -count and benchstat for
-// a rigorous comparison).
+// budgets; this file pins the instrumented ones to the SAME numbers.
 package spotdc_test
 
 import (
 	"testing"
 
-	"spotdc"
+	"spotdc/internal/core"
+	"spotdc/internal/metrics"
 )
 
-func instrumentedMarket(t testing.TB, racks int, algo spotdc.ClearingAlgorithm) (*spotdc.Market, []spotdc.Bid, *spotdc.MetricsRegistry) {
+func instrumentedMarket(t testing.TB, racks int, algo core.Algorithm) (*core.Market, []core.Bid, *metrics.Registry) {
 	t.Helper()
 	cons, bids := syntheticMarket(racks)
-	reg := spotdc.NewMetricsRegistry()
-	mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{
+	reg := metrics.NewRegistry()
+	mkt, err := core.NewMarket(cons, core.Options{
 		PriceStep: 0.001,
 		Algorithm: algo,
-		Metrics:   spotdc.NewMarketMetrics(reg),
+		Metrics:   core.NewMarketMetrics(reg),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,13 +29,13 @@ func instrumentedMarket(t testing.TB, racks int, algo spotdc.ClearingAlgorithm) 
 
 func TestClearAllocBudgetInstrumented(t *testing.T) {
 	for _, tc := range []struct {
-		algo   spotdc.ClearingAlgorithm
+		algo   core.Algorithm
 		budget float64
 	}{
 		// Identical budgets to TestClearAllocBudget: instrumentation adds
 		// zero allocations to either engine.
-		{spotdc.AlgorithmScan, 0},
-		{spotdc.AlgorithmExact, 32},
+		{core.AlgorithmScan, 0},
+		{core.AlgorithmExact, 32},
 	} {
 		t.Run(tc.algo.String(), func(t *testing.T) {
 			mkt, bids, reg := instrumentedMarket(t, 15000, tc.algo)
@@ -58,40 +56,5 @@ func TestClearAllocBudgetInstrumented(t *testing.T) {
 				t.Errorf("clears_total{engine=%v} = %v (ok=%v), want >= 6", tc.algo, got, ok)
 			}
 		})
-	}
-}
-
-// BenchmarkClearMetricsOverhead compares steady-state Clear with metrics
-// off vs on at the paper's largest operating point. The per-Clear cost of
-// instrumentation is one time.Now pair plus a handful of atomic updates —
-// nanoseconds against a multi-millisecond clear.
-func BenchmarkClearMetricsOverhead(b *testing.B) {
-	for _, algo := range []spotdc.ClearingAlgorithm{spotdc.AlgorithmScan, spotdc.AlgorithmExact} {
-		b.Run(algo.String()+"/off", func(b *testing.B) {
-			cons, bids := syntheticMarket(15000)
-			mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: 0.001, Algorithm: algo})
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchClear(b, mkt, bids)
-		})
-		b.Run(algo.String()+"/on", func(b *testing.B) {
-			mkt, bids, _ := instrumentedMarket(b, 15000, algo)
-			benchClear(b, mkt, bids)
-		})
-	}
-}
-
-func benchClear(b *testing.B, mkt *spotdc.Market, bids []spotdc.Bid) {
-	b.Helper()
-	if _, err := mkt.Clear(bids); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mkt.Clear(bids); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -9,42 +9,42 @@ package spotdc_test
 import (
 	"testing"
 
-	"spotdc"
+	"spotdc/internal/core"
 )
 
 func TestClearAllocBudget(t *testing.T) {
-	uniform := func(mkt *spotdc.Market, bids []spotdc.Bid) error {
+	uniform := func(mkt *core.Market, bids []core.Bid) error {
 		_, err := mkt.Clear(bids)
 		return err
 	}
 	for _, tc := range []struct {
 		name   string
-		algo   spotdc.ClearingAlgorithm
+		algo   core.Algorithm
 		extras bool
-		run    func(*spotdc.Market, []spotdc.Bid) error
+		run    func(*core.Market, []core.Bid) error
 		budget float64
 	}{
 		// The scan engine is fully allocation-free after warm-up.
-		{"scan", spotdc.AlgorithmScan, false, uniform, 0},
+		{"scan", core.AlgorithmScan, false, uniform, 0},
 		// The exact engine keeps a small, rack-count-independent number of
 		// allocations for its breakpoint heap bookkeeping (measured 11 at
 		// 15,000 racks; budget leaves slack for runtime variation).
-		{"exact", spotdc.AlgorithmExact, false, uniform, 32},
+		{"exact", core.AlgorithmExact, false, uniform, 32},
 		// Installed extras clear on the same grid loop; the zone/phase
 		// predicate runs per price on market-owned scratch.
-		{"scan-extras", spotdc.AlgorithmAuto, true, uniform, 0},
+		{"scan-extras", core.AlgorithmAuto, true, uniform, 0},
 		// Per-PDU pricing reuses one single-PDU market, so on the scan
 		// engine only the returned []Result and the one grant array
 		// backing it remain — no NewMarket per PDU (two rack-sized
 		// copies each).
-		{"per-pdu", spotdc.AlgorithmScan, false, func(mkt *spotdc.Market, bids []spotdc.Bid) error {
+		{"per-pdu", core.AlgorithmScan, false, func(mkt *core.Market, bids []core.Bid) error {
 			_, err := mkt.ClearPerPDU(bids)
 			return err
 		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cons, bids := syntheticMarket(15000)
-			mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: 0.001, Algorithm: tc.algo})
+			mkt, err := core.NewMarket(cons, core.Options{PriceStep: 0.001, Algorithm: tc.algo})
 			if err != nil {
 				t.Fatal(err)
 			}

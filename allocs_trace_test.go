@@ -3,24 +3,23 @@
 // here are IDENTICAL to TestClearAllocBudget's), and a sampling tracer
 // stays within a small constant budget per Clear — the span freelist, the
 // value-type ring and the fixed attr array mean steady state recycles
-// everything. BenchmarkSlotTraceOverhead measures the wall-clock cost of
-// tracing a full slot (root span + clear child) against the untraced
-// clear; the PR target is <= 5% (run with -count and benchstat for a
-// rigorous comparison).
+// everything. The wall-clock cost of tracing is the slot-budget
+// benchmark's otrace.overhead_ratio (bench/).
 package spotdc_test
 
 import (
 	"testing"
 
-	"spotdc"
+	"spotdc/internal/core"
+	"spotdc/internal/otrace"
 )
 
 // tracedMarket builds a 15,000-rack market whose Clear opens a "clear"
 // span under root. A nil tracer exercises the tracing-off branch.
-func tracedMarket(t testing.TB, algo spotdc.ClearingAlgorithm, tr *spotdc.Tracer) (*spotdc.Market, []spotdc.Bid, *spotdc.Span) {
+func tracedMarket(t testing.TB, algo core.Algorithm, tr *otrace.Tracer) (*core.Market, []core.Bid, *otrace.Span) {
 	t.Helper()
 	cons, bids := syntheticMarket(15000)
-	mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{
+	mkt, err := core.NewMarket(cons, core.Options{
 		PriceStep: 0.001,
 		Algorithm: algo,
 		Trace:     tr,
@@ -36,19 +35,19 @@ func tracedMarket(t testing.TB, algo spotdc.ClearingAlgorithm, tr *spotdc.Tracer
 func TestClearAllocBudgetTraced(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		algo   spotdc.ClearingAlgorithm
-		tracer *spotdc.Tracer
+		algo   core.Algorithm
+		tracer *otrace.Tracer
 		budget float64
 	}{
 		// Tracing off: budgets identical to TestClearAllocBudget — a nil
 		// tracer adds zero allocations to either engine.
-		{"off", spotdc.AlgorithmScan, nil, 0},
-		{"off", spotdc.AlgorithmExact, nil, 32},
+		{"off", core.AlgorithmScan, nil, 0},
+		{"off", core.AlgorithmExact, nil, 32},
 		// Tracing on at 100% sampling: the span comes from the freelist and
 		// publishes into the preallocated ring, so the steady-state budget
 		// gains only slack for runtime variation, not a per-span cost.
-		{"on", spotdc.AlgorithmScan, spotdc.NewTracer(spotdc.TracerOptions{SampleEvery: 1, Seed: 1}), 4},
-		{"on", spotdc.AlgorithmExact, spotdc.NewTracer(spotdc.TracerOptions{SampleEvery: 1, Seed: 1}), 36},
+		{"on", core.AlgorithmScan, otrace.NewTracer(otrace.Options{SampleEvery: 1, Seed: 1}), 4},
+		{"on", core.AlgorithmExact, otrace.NewTracer(otrace.Options{SampleEvery: 1, Seed: 1}), 36},
 	} {
 		t.Run(tc.name+"/"+tc.algo.String(), func(t *testing.T) {
 			mkt, bids, root := tracedMarket(t, tc.algo, tc.tracer)
@@ -67,39 +66,4 @@ func TestClearAllocBudgetTraced(t *testing.T) {
 			}
 		})
 	}
-}
-
-// BenchmarkSlotTraceOverhead compares a traced slot — root span, clear
-// child with its attrs, End — against the identical untraced sequence
-// (every call nil-safe, so the off case measures the branch cost alone).
-// Recorded as BENCH_3.json (scripts/bench.sh).
-func BenchmarkSlotTraceOverhead(b *testing.B) {
-	run := func(b *testing.B, tr *spotdc.Tracer) {
-		b.Helper()
-		cons, bids := syntheticMarket(15000)
-		mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{
-			PriceStep: 0.001, Algorithm: spotdc.AlgorithmScan, Trace: tr,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := mkt.Clear(bids); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			root := tr.StartRoot("slot", i)
-			mkt.SetTraceParent(root)
-			if _, err := mkt.Clear(bids); err != nil {
-				b.Fatal(err)
-			}
-			mkt.SetTraceParent(nil)
-			root.End()
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("on", func(b *testing.B) {
-		run(b, spotdc.NewTracer(spotdc.TracerOptions{SampleEvery: 1, Seed: 1}))
-	})
 }

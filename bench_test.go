@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one benchmark per experiment; DESIGN.md maps IDs to paper artifacts).
-// Horizons are bench-sized via ExperimentOptions; run
+// Horizons are bench-sized via experiments.Options; run
 // cmd/spotdc-experiments for the full-scale numbers recorded in
 // EXPERIMENTS.md.
 package spotdc_test
@@ -9,14 +9,19 @@ import (
 	"fmt"
 	"testing"
 
-	"spotdc"
+	"spotdc/internal/billing"
+	"spotdc/internal/capping"
+	"spotdc/internal/core"
+	"spotdc/internal/experiments"
+	"spotdc/internal/operator"
+	"spotdc/internal/sim"
 )
 
 // benchOpt shrinks the experiment horizons so each benchmark iteration
 // stays in the tens-of-milliseconds range while exercising the same code
 // paths as the full runs.
-func benchOpt() spotdc.ExperimentOptions {
-	return spotdc.ExperimentOptions{
+func benchOpt() experiments.Options {
+	return experiments.Options{
 		Seed:          42,
 		LongSlots:     1200,
 		ScaleTenants:  []int{8, 50},
@@ -30,7 +35,7 @@ func benchExperiment(b *testing.B, id string) {
 	opt := benchOpt()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := spotdc.RunExperiment(id, opt)
+		rep, err := experiments.Run(id, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,10 +65,10 @@ func BenchmarkFig7aPowerVariation(b *testing.B) { benchExperiment(b, "fig7a") }
 func BenchmarkFig7bClearingTime(b *testing.B) {
 	for _, racks := range []int{1500, 5000, 15000} {
 		for _, step := range []float64{0.001, 0.01} {
-			for _, algo := range []spotdc.ClearingAlgorithm{spotdc.AlgorithmScan, spotdc.AlgorithmExact} {
+			for _, algo := range []core.Algorithm{core.AlgorithmScan, core.AlgorithmExact} {
 				b.Run(fmt.Sprintf("racks=%d/step=%v/algo=%v", racks, step, algo), func(b *testing.B) {
 					cons, bids := syntheticMarket(racks)
-					mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: step, Algorithm: algo})
+					mkt, err := core.NewMarket(cons, core.Options{PriceStep: step, Algorithm: algo})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -95,22 +100,22 @@ func BenchmarkFig7bClearingTime(b *testing.B) {
 // syntheticMarket fabricates a large data center: 50 racks per PDU, one
 // elastic bid per rack with testbed-like parameters (mirrors the Fig. 7(b)
 // experiment driver).
-func syntheticMarket(racks int) (spotdc.Constraints, []spotdc.Bid) {
+func syntheticMarket(racks int) (core.Constraints, []core.Bid) {
 	pdus := (racks + 49) / 50
-	cons := spotdc.Constraints{
+	cons := core.Constraints{
 		RackHeadroom: make([]float64, racks),
 		RackPDU:      make([]int, racks),
 		PDUSpot:      make([]float64, pdus),
 		UPSSpot:      float64(racks) * 20,
 	}
-	bids := make([]spotdc.Bid, 0, racks)
+	bids := make([]core.Bid, 0, racks)
 	for i := 0; i < racks; i++ {
 		cons.RackHeadroom[i] = 60
 		cons.RackPDU[i] = i / 50
 		cons.PDUSpot[i/50] += 25
 		v := float64((int64(i)*2654435761 + 42) % 97 / 1)
 		v = v / 97
-		bids = append(bids, spotdc.Bid{Rack: i, Tenant: fmt.Sprintf("t%d", i), Fn: spotdc.LinearBid{
+		bids = append(bids, core.Bid{Rack: i, Tenant: fmt.Sprintf("t%d", i), Fn: core.LinearBid{
 			DMax: 20 + 40*v,
 			DMin: 5 * v,
 			QMin: 0.02 + 0.1*v,
@@ -123,9 +128,9 @@ func syntheticMarket(racks int) (spotdc.Constraints, []spotdc.Bid) {
 // syntheticExtras lays Section III-A extras over a synthetic market: racks
 // striped across the three phases and a 250 W heat-density zone per ten
 // consecutive racks.
-func syntheticExtras(cons spotdc.Constraints) *spotdc.Extras {
-	phases := make(spotdc.PhaseOf, len(cons.RackHeadroom))
-	zones := make([]spotdc.Zone, 0, len(cons.RackHeadroom)/10)
+func syntheticExtras(cons core.Constraints) *core.Extras {
+	phases := make(core.PhaseOf, len(cons.RackHeadroom))
+	zones := make([]core.Zone, 0, len(cons.RackHeadroom)/10)
 	for i := range phases {
 		phases[i] = i % 3
 	}
@@ -134,9 +139,9 @@ func syntheticExtras(cons spotdc.Constraints) *spotdc.Extras {
 		for j := range racks {
 			racks[j] = z + j
 		}
-		zones = append(zones, spotdc.Zone{Name: fmt.Sprintf("z%d", z), Racks: racks, MaxWatts: 250})
+		zones = append(zones, core.Zone{Name: fmt.Sprintf("z%d", z), Racks: racks, MaxWatts: 250})
 	}
-	return &spotdc.Extras{Zones: zones, RackPhase: phases, PhaseImbalance: 0.5}
+	return &core.Extras{Zones: zones, RackPhase: phases, PhaseImbalance: 0.5}
 }
 
 // Fig. 8: power-performance relation tables.
@@ -176,7 +181,7 @@ func BenchmarkFig18Scale(b *testing.B) { benchExperiment(b, "fig18") }
 // compared against the paper's single uniform price on the same bids.
 func BenchmarkAblationPerPDUPricing(b *testing.B) {
 	cons, bids := syntheticMarket(1500)
-	mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: 0.005})
+	mkt, err := core.NewMarket(cons, core.Options{PriceStep: 0.005})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func BenchmarkAblationPriceStep(b *testing.B) {
 	cons, bids := syntheticMarket(3000)
 	for _, step := range []float64{0.0005, 0.001, 0.005, 0.01, 0.05} {
 		b.Run(fmt.Sprintf("step=%v", step), func(b *testing.B) {
-			mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: step})
+			mkt, err := core.NewMarket(cons, core.Options{PriceStep: step})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -225,7 +230,7 @@ func BenchmarkAblationPriceStep(b *testing.B) {
 // balance) scans every grid price with full constraint checks.
 func BenchmarkExtrasClearing(b *testing.B) {
 	cons, bids := syntheticMarket(1500)
-	mkt, err := spotdc.NewMarket(cons, spotdc.MarketOptions{PriceStep: 0.005})
+	mkt, err := core.NewMarket(cons, core.Options{PriceStep: 0.005})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,9 +253,9 @@ func BenchmarkExtrasClearing(b *testing.B) {
 
 // The tenant-side PI power-capping loop converging to a new budget.
 func BenchmarkCappingSettle(b *testing.B) {
-	model := spotdc.ServerModel{IdleWatts: 60, PeakWatts: 205, Alpha: 1.5, MinKnob: 0.2}
+	model := capping.ServerModel{IdleWatts: 60, PeakWatts: 205, Alpha: 1.5, MinKnob: 0.2}
 	for i := 0; i < b.N; i++ {
-		c, err := spotdc.NewCapController(spotdc.CapConfig{Model: model, InitialBudget: 145})
+		c, err := capping.New(capping.Config{Model: model, InitialBudget: 145})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,19 +267,19 @@ func BenchmarkCappingSettle(b *testing.B) {
 
 // Invoice generation from a finished month-scale run.
 func BenchmarkInvoices(b *testing.B) {
-	sc, err := spotdc.Testbed(spotdc.TestbedOptions{Seed: 42, Slots: 2000})
+	sc, err := sim.Testbed(sim.TestbedOptions{Seed: 42, Slots: 2000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := spotdc.Run(sc, spotdc.RunOptions{Mode: spotdc.ModeSpotDC})
+	res, err := sim.Run(sc, sim.RunOptions{Mode: sim.ModeSpotDC})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pricing := spotdc.DefaultPricing()
+	pricing := operator.DefaultPricing()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		invs, err := spotdc.Invoices(res, pricing)
+		invs, err := billing.FromSimResult(res, pricing)
 		if err != nil {
 			b.Fatal(err)
 		}

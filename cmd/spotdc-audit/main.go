@@ -35,7 +35,9 @@ import (
 	"os"
 	"strings"
 
-	"spotdc"
+	"spotdc/internal/audit"
+	"spotdc/internal/metrics"
+	"spotdc/internal/otrace"
 )
 
 func main() {
@@ -56,7 +58,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			torn, err := spotdc.DumpSlotJournal(os.Stdout, f)
+			torn, err := metrics.DumpJournal(os.Stdout, f)
 			f.Close()
 			if err != nil {
 				log.Fatalf("%s: %v", path, err)
@@ -68,7 +70,7 @@ func main() {
 		return
 	}
 
-	opts := spotdc.AuditOptions{EngineCheck: *engineCheck, AgreementRel: *agreementRel}
+	opts := audit.Options{EngineCheck: *engineCheck, AgreementRel: *agreementRel}
 	if *verbose {
 		opts.Logf = log.Printf
 	}
@@ -82,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spans, err := spotdc.ReadSpans(f)
+		spans, err := otrace.ReadSpans(f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("%s: %v", *spansFile, err)
@@ -101,7 +103,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := spotdc.ReplayJournal(f, opts)
+		rep, err := audit.Replay(f, opts)
 		f.Close()
 		if err != nil {
 			log.Fatalf("%s: %v", path, err)
@@ -113,7 +115,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			_, events, jerr := spotdc.ReadSlotJournal(jf)
+			_, events, jerr := metrics.ReadJournal(jf)
 			jf.Close()
 			if jerr != nil {
 				log.Fatalf("%s: %v", path, jerr)

@@ -10,13 +10,11 @@
 // Usage:
 //
 //	spotdc-operator [-listen 127.0.0.1:7070] [-slot-seconds 10] [-slots N] \
-//	    [-wire any|json|binary] [-metrics-addr host:port] [-events FILE] \
+//	    [-metrics-addr host:port] [-events FILE] \
 //	    [-state-dir DIR] [-fsync record|slot|timer] [-audit] [-emergency] [-v]
 //
 // The server speaks both wire encodings, answering each connection in
-// whichever encoding it opened with (JSON or the compact binary frame); the
-// -wire flag restricts which encodings are accepted, for fleets that want
-// to enforce one.
+// whichever encoding it opened with (JSON or the compact binary frame).
 //
 // Observability: -metrics-addr serves Prometheus text metrics on
 // GET /metrics (plus /healthz) covering market clearings, operator slot
@@ -69,8 +67,15 @@ import (
 	"syscall"
 	"time"
 
-	"spotdc"
+	"spotdc/internal/core"
+	"spotdc/internal/metrics"
+	"spotdc/internal/operator"
+	"spotdc/internal/otrace"
+	"spotdc/internal/power"
+	"spotdc/internal/proto"
+	"spotdc/internal/rackpdu"
 	"spotdc/internal/trace"
+	"spotdc/internal/wal"
 )
 
 func main() {
@@ -78,7 +83,6 @@ func main() {
 	slotSeconds := flag.Int("slot-seconds", 10, "market slot length in seconds (paper: 60-300; short for demos)")
 	slots := flag.Int("slots", 0, "stop after this many slots (0 = run forever)")
 	seed := flag.Int64("seed", 42, "background power trace seed")
-	wire := flag.String("wire", "any", "accepted wire encodings: any, json or binary")
 	sessionTTL := flag.Duration("session-ttl", 0, "expire tenant sessions idle longer than this (0 = library default)")
 	bidWindow := flag.Int("bid-window", 0, "accept bids at most this many slots ahead (0 = library default)")
 	maxFailures := flag.Int("max-consecutive-failures", 0, "trip the breaker to no-spot after this many consecutive slot failures (0 = never)")
@@ -102,44 +106,39 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose: per-slot results and protocol diagnostics (default: quiet)")
 	flag.Parse()
 
-	wirePolicy, err := spotdc.ParseMarketWirePolicy(*wire)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Observability is opt-in: a nil registry/journal disables every hook.
 	var (
-		reg      *spotdc.MetricsRegistry
-		journal  *spotdc.SlotJournal
-		mktMet   *spotdc.MarketMetrics
-		opMet    *spotdc.OperatorMetrics
-		protoMet *spotdc.MarketProtoMetrics
-		walMet   *spotdc.WALMetrics
+		reg      *metrics.Registry
+		journal  *metrics.Journal
+		mktMet   *core.MarketMetrics
+		opMet    *operator.Metrics
+		protoMet *proto.Metrics
+		walMet   *wal.Metrics
 	)
 	if *metricsAddr != "" {
-		reg = spotdc.NewMetricsRegistry()
-		mktMet = spotdc.NewMarketMetrics(reg)
-		opMet = spotdc.NewOperatorMetrics(reg)
-		protoMet = spotdc.NewMarketProtoMetrics(reg)
+		reg = metrics.NewRegistry()
+		mktMet = core.NewMarketMetrics(reg)
+		opMet = operator.NewMetrics(reg)
+		protoMet = proto.NewMetrics(reg)
 		if *stateDir != "" {
-			walMet = spotdc.NewWALMetrics(reg)
+			walMet = wal.NewMetrics(reg)
 		}
 	}
 	// -trace-spans: one tracer shared by the market loop, the server's
 	// broadcast fan-out, and the operator's slot phases, journaled as JSON
 	// lines (read them back with spotdc-spans or cmd/spotdc-audit -spans).
-	var tracer *spotdc.Tracer
+	var tracer *otrace.Tracer
 	if *traceSpans != "" {
 		f, err := os.Create(*traceSpans)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		var tm *spotdc.TracerMetrics
+		var tm *otrace.TracerMetrics
 		if reg != nil {
-			tm = spotdc.NewTracerMetrics(reg)
+			tm = otrace.NewTracerMetrics(reg)
 		}
-		tracer = spotdc.NewTracer(spotdc.TracerOptions{
+		tracer = otrace.NewTracer(otrace.Options{
 			SampleEvery: *traceSample,
 			Journal:     f,
 			Metrics:     tm,
@@ -147,11 +146,11 @@ func main() {
 		log.Printf("spotdc-operator: tracing slot spans to %s (sample every %d)", *traceSpans, *traceSample)
 	}
 	if *metricsAddr != "" {
-		muxOpts := spotdc.MetricsMuxOptions{Pprof: *pprofOn}
+		muxOpts := metrics.MuxOptions{Pprof: *pprofOn}
 		if tracer != nil {
-			muxOpts.Extra = map[string]http.Handler{"/debug/traces": spotdc.TraceHandler(tracer)}
+			muxOpts.Extra = map[string]http.Handler{"/debug/traces": otrace.TraceHandler(tracer)}
 		}
-		bound, shutdown, err := spotdc.ServeMetricsOpts(*metricsAddr, reg, muxOpts)
+		bound, shutdown, err := metrics.ServeOpts(*metricsAddr, reg, muxOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -181,7 +180,7 @@ func main() {
 		if st, err := f.Stat(); err == nil && st.Size() > 0 {
 			resumed = true
 		}
-		journal = spotdc.NewSlotJournalOpts(f, spotdc.SlotJournalOptions{
+		journal = metrics.NewJournalOpts(f, metrics.JournalOptions{
 			SyncEvery: *eventsSync,
 			Resumed:   resumed,
 		})
@@ -191,12 +190,12 @@ func main() {
 		logf = log.Printf
 	}
 
-	topo, err := spotdc.NewTopology(1370,
-		[]spotdc.PDU{
+	topo, err := power.NewTopology(1370,
+		[]power.PDU{
 			{ID: "PDU#1", Capacity: 715},
 			{ID: "PDU#2", Capacity: 724},
 		},
-		[]spotdc.Rack{
+		[]power.Rack{
 			{ID: "S-1", Tenant: "Search-1", PDU: 0, Guaranteed: 145, SpotHeadroom: 60},
 			{ID: "S-2", Tenant: "Web", PDU: 0, Guaranteed: 115, SpotHeadroom: 50},
 			{ID: "O-1", Tenant: "Count-1", PDU: 0, Guaranteed: 125, SpotHeadroom: 60},
@@ -209,15 +208,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mktOpts := spotdc.MarketOptions{PriceStep: 0.001, Metrics: mktMet}
-	var auditor *spotdc.Auditor
+	mktOpts := core.Options{PriceStep: 0.001, Metrics: mktMet}
+	var auditor *core.Auditor
 	if *auditRun {
-		auditor = &spotdc.Auditor{OnViolation: func(v error) {
+		auditor = &core.Auditor{OnViolation: func(v error) {
 			log.Printf("spotdc-operator: AUDIT VIOLATION: %v", v)
 		}}
 		mktOpts.Audit = auditor
 	}
-	opCfg := spotdc.OperatorConfig{
+	opCfg := operator.Config{
 		Topology:      topo,
 		MarketOptions: mktOpts,
 		Metrics:       opMet,
@@ -225,15 +224,15 @@ func main() {
 	}
 	// -emergency: one rack PDU per rack is the physical enforcement point;
 	// the responder's SetBudget hook actuates it (and logs the reset).
-	var units []*spotdc.RackPDU
+	var units []*rackpdu.PDU
 	if *emergency {
-		var rpm *spotdc.RackPDUMetrics
+		var rpm *rackpdu.Metrics
 		if reg != nil {
-			rpm = spotdc.NewRackPDUMetrics(reg)
+			rpm = rackpdu.NewMetrics(reg)
 		}
-		units = make([]*spotdc.RackPDU, len(topo.Racks))
+		units = make([]*rackpdu.PDU, len(topo.Racks))
 		for i, r := range topo.Racks {
-			units[i], err = spotdc.NewRackPDU(spotdc.RackPDUConfig{
+			units[i], err = rackpdu.New(rackpdu.Config{
 				ID:          r.ID,
 				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
 				ResetDelay:  *resetDelay,
@@ -243,7 +242,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		opCfg.Emergency = &spotdc.ResponderConfig{
+		opCfg.Emergency = &operator.ResponderConfig{
 			EscalationSeverity: *escalation,
 			RecoverySlots:      *recoverySlots,
 			SetBudget: func(rack int, watts float64) error {
@@ -252,14 +251,13 @@ func main() {
 			},
 		}
 	}
-	op, err := spotdc.NewOperator(opCfg)
+	op, err := operator.New(opCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := spotdc.NewMarketServerOpts(*listen, func(id string) (int, bool) {
+	srv, err := proto.NewServerOpts(*listen, func(id string) (int, bool) {
 		return topo.RackByID(id)
-	}, spotdc.MarketServerOptions{
-		Wire:       wirePolicy,
+	}, proto.ServerOptions{
 		SessionTTL: *sessionTTL,
 		BidWindow:  *bidWindow,
 		// Racks are single-tenant: reject a hello that claims another
@@ -279,14 +277,14 @@ func main() {
 	// process committed — the books resume exactly where they stopped, and
 	// the market resumes at the slot after the last committed record.
 	firstSlot := 0
-	var walLog *spotdc.WriteAheadLog
+	var walLog *wal.Log
 	if *stateDir != "" {
-		policy, err := spotdc.ParseWALSyncPolicy(*fsync)
+		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var rec *spotdc.WALRecovery
-		walLog, rec, err = spotdc.OpenWAL(spotdc.WALOptions{
+		var rec *wal.Recovery
+		walLog, rec, err = wal.Open(wal.Options{
 			Dir:           *stateDir,
 			Policy:        policy,
 			TimerInterval: *fsyncInterval,
@@ -295,7 +293,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		recovered, err := spotdc.RecoverMarketState(rec, op, srv)
+		recovered, err := proto.RecoverDurable(rec, op, srv)
 		if err != nil {
 			log.Fatalf("spotdc-operator: state recovery: %v", err)
 		}
@@ -328,7 +326,7 @@ func main() {
 	// deployment wires ReadTotal from the rack PDUs here instead. Racks
 	// that bid are referenced at their full guarantee by the operator
 	// regardless (Section III-C).
-	reading := spotdc.Reading{
+	reading := power.Reading{
 		RackWatts:     make([]float64, len(topo.Racks)),
 		OtherPDUWatts: make([]float64, len(topo.PDUs)),
 	}
@@ -340,16 +338,16 @@ func main() {
 	// numbering continues where the previous lifetime stopped, with the
 	// first live slot still a full slot length away.
 	slotLen := time.Duration(*slotSeconds) * time.Second
-	clock, err := spotdc.NewSlotClock(
+	clock, err := proto.NewSlotClock(
 		time.Now().Add(slotLen).Add(-time.Duration(firstSlot)*slotLen), slotLen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loop := spotdc.MarketLoop{
+	loop := proto.MarketLoop{
 		Server:   srv,
 		Operator: op,
 		Clock:    clock,
-		Reading: func(slot int) spotdc.Reading {
+		Reading: func(slot int) power.Reading {
 			for m := range others {
 				reading.OtherPDUWatts[m] = others[m].At(slot)
 			}
@@ -382,7 +380,7 @@ func main() {
 	// Per-slot narration is verbose-only; the journal and /metrics are
 	// the always-available records. (Assigned outside the literal: the
 	// closures read loop.SlotTrace.)
-	loop.OnSlot = func(slot int, out spotdc.SlotOutcome, bids int) {
+	loop.OnSlot = func(slot int, out operator.SlotOutcome, bids int) {
 		logf("%s: %d bids from %v, price $%.3f/kWh, sold %.1f W, revenue $%.6f (total $%.6f)",
 			slotTag(slot), bids, srv.Sessions(), out.Result.Price, out.Result.TotalWatts,
 			out.RevenueThisSlot, op.SpotRevenue())
@@ -397,7 +395,7 @@ func main() {
 		loop.BreakerTolerance = *breakerTol
 	}
 	if walLog != nil {
-		loop.Durable = &spotdc.MarketDurability{Log: walLog, SnapshotEvery: *snapshotEvery}
+		loop.Durable = &proto.Durable{Log: walLog, SnapshotEvery: *snapshotEvery}
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops the loop at the

@@ -17,8 +17,11 @@ import (
 	"os"
 	"sort"
 
-	"spotdc"
+	"spotdc/internal/billing"
 	"spotdc/internal/config"
+	"spotdc/internal/operator"
+	"spotdc/internal/sim"
+	"spotdc/internal/tenant"
 	"spotdc/internal/trace"
 )
 
@@ -36,8 +39,8 @@ func main() {
 	invoices := flag.Bool("invoices", false, "print per-tenant invoices after the run")
 	flag.Parse()
 
-	var sc spotdc.Scenario
-	var m spotdc.SimMode
+	var sc sim.Scenario
+	var m sim.Mode
 	otherLeased := 500.0
 	if *configPath != "" {
 		cfg, err := config.Load(*configPath)
@@ -56,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb := spotdc.TestbedOptions{
+		tb := sim.TestbedOptions{
 			Seed:            *seed,
 			Slots:           *slots,
 			CapacityScale:   *capacityScale,
@@ -65,9 +68,9 @@ func main() {
 		}
 		switch *scenario {
 		case "testbed":
-			sc, err = spotdc.Testbed(tb)
+			sc, err = sim.Testbed(tb)
 		case "scaled":
-			sc, err = spotdc.Scaled(spotdc.ScaledOptions{Testbed: tb, Tenants: *tenants, JitterFrac: 0.2})
+			sc, err = sim.Scaled(sim.ScaledOptions{Testbed: tb, Tenants: *tenants, JitterFrac: 0.2})
 			otherLeased = 500 * float64((*tenants+7)/8)
 		default:
 			log.Fatalf("spotdc-sim: unknown scenario %q", *scenario)
@@ -77,17 +80,17 @@ func main() {
 		}
 		switch *mode {
 		case "spotdc":
-			m = spotdc.ModeSpotDC
+			m = sim.ModeSpotDC
 		case "capped":
-			m = spotdc.ModePowerCapped
+			m = sim.ModePowerCapped
 		case "maxperf":
-			m = spotdc.ModeMaxPerf
+			m = sim.ModeMaxPerf
 		default:
 			log.Fatalf("spotdc-sim: unknown mode %q", *mode)
 		}
 	}
 
-	res, err := spotdc.Run(sc, spotdc.RunOptions{Mode: m})
+	res, err := sim.Run(sc, sim.RunOptions{Mode: m})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func main() {
 	}
 
 	if *invoices {
-		invs, err := spotdc.Invoices(res, spotdc.DefaultPricing())
+		invs, err := billing.FromSimResult(res, operator.DefaultPricing())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -150,16 +153,16 @@ func main() {
 	}
 }
 
-func parsePolicy(s string) (spotdc.BidPolicy, error) {
+func parsePolicy(s string) (tenant.BidPolicy, error) {
 	switch s {
 	case "elastic":
-		return spotdc.PolicyElastic, nil
+		return tenant.PolicyElastic, nil
 	case "simple":
-		return spotdc.PolicySimple, nil
+		return tenant.PolicySimple, nil
 	case "step":
-		return spotdc.PolicyStep, nil
+		return tenant.PolicyStep, nil
 	case "full":
-		return spotdc.PolicyFull, nil
+		return tenant.PolicyFull, nil
 	default:
 		return 0, fmt.Errorf("spotdc-sim: unknown policy %q", s)
 	}

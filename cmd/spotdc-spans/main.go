@@ -22,7 +22,7 @@ import (
 	"log"
 	"os"
 
-	"spotdc"
+	"spotdc/internal/otrace"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spans, err := spotdc.ReadSpans(f)
+	spans, err := otrace.ReadSpans(f)
 	f.Close()
 	if err != nil {
 		log.Fatalf("%s: %v", flag.Arg(0), err)
@@ -56,11 +56,11 @@ func main() {
 
 	// Render into memory so -check validates exactly the bytes written.
 	var buf bytes.Buffer
-	if err := spotdc.WriteChromeTrace(&buf, spans); err != nil {
+	if err := otrace.WriteChromeTrace(&buf, spans); err != nil {
 		log.Fatal(err)
 	}
 	if *check {
-		if err := spotdc.ValidateChromeTrace(buf.Bytes()); err != nil {
+		if err := otrace.ValidateChromeTrace(buf.Bytes()); err != nil {
 			log.Fatalf("%s: produced trace fails validation: %v", flag.Arg(0), err)
 		}
 		traces := map[string]bool{}

@@ -31,7 +31,8 @@ import (
 	"log"
 	"time"
 
-	"spotdc"
+	"spotdc/internal/capping"
+	"spotdc/internal/proto"
 )
 
 func main() {
@@ -57,7 +58,7 @@ func main() {
 	if *verbose {
 		logf = log.Printf
 	}
-	enc, err := spotdc.ParseWireEncoding(*wire)
+	enc, err := proto.ParseEncoding(*wire)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,18 +66,18 @@ func main() {
 	// -peak-watts: emergency budget resets from the operator drive the
 	// capping controller. OnBudgetReset runs inside AwaitPrice on this
 	// goroutine, so the controller needs no locking.
-	var capper *spotdc.CapController
+	var capper *capping.Controller
 	if *peakWatts > 0 {
 		var err error
-		capper, err = spotdc.NewCapController(spotdc.CapConfig{
-			Model:         spotdc.ServerModel{IdleWatts: *idleWatts, PeakWatts: *peakWatts},
+		capper, err = capping.New(capping.Config{
+			Model:         capping.ServerModel{IdleWatts: *idleWatts, PeakWatts: *peakWatts},
 			InitialBudget: *peakWatts,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	copts := spotdc.MarketClientOptions{
+	copts := proto.ClientOptions{
 		Wire:        enc,
 		Reconnect:   *reconnect,
 		BackoffBase: *backoff,
@@ -87,7 +88,7 @@ func main() {
 		},
 	}
 	if capper != nil {
-		copts.OnBudgetReset = func(slot int, budgets []spotdc.Grant) {
+		copts.OnBudgetReset = func(slot int, budgets []proto.Grant) {
 			for _, b := range budgets {
 				if b.Rack != *rack {
 					continue
@@ -102,7 +103,7 @@ func main() {
 			}
 		}
 	}
-	client, err := spotdc.DialMarketOpts(*connect, *name, []string{*rack}, copts)
+	client, err := proto.DialOpts(*connect, *name, []string{*rack}, copts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func main() {
 
 	slotDur := time.Duration(*slotSeconds) * time.Second
 	for slot := 0; *slots == 0 || slot < *slots; slot++ {
-		bid := spotdc.RackBid{Rack: *rack, DMax: *dMax, QMin: *qMin, DMin: *dMin, QMax: *qMax}
-		if err := client.SubmitBids(slot, []spotdc.RackBid{bid}); err != nil {
+		bid := proto.RackBid{Rack: *rack, DMax: *dMax, QMin: *qMin, DMin: *dMin, QMax: *qMax}
+		if err := client.SubmitBids(slot, []proto.RackBid{bid}); err != nil {
 			// Section III-C: a lost bid means no spot capacity this slot,
 			// not a dead tenant. Pace out the slot and try the next one.
 			log.Printf("slot %d: submit failed (%v) — running without spot capacity", slot, err)
@@ -121,7 +122,7 @@ func main() {
 		}
 		price, grants, err := client.AwaitPrice(slot, slotDur+2*time.Second)
 		switch {
-		case errors.Is(err, spotdc.ErrNoPrice):
+		case errors.Is(err, proto.ErrNoPrice):
 			// Section III-C: communication loss defaults to no spot capacity.
 			log.Printf("slot %d: no price broadcast — running without spot capacity", slot)
 			continue

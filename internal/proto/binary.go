@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"spotdc/internal/binenc"
 )
@@ -14,15 +13,14 @@ import (
 // Binary wire framing (DESIGN §4g). Every message is one frame:
 //
 //	[0] magic     0xBF — distinguishes a binary hello from JSON's '{'
-//	[1] version   0x01 or 0x02
+//	[1] version   0x02
 //	[2] type      message type code (binHello..binError)
 //	[3:6] length  24-bit big-endian payload length (≤ MaxLineBytes)
 //	[6:]  payload
 //
 // The payload always opens with the envelope fields every message carries —
-// tenant (string) and slot (int64); version-2 frames append the trace
-// field (string, "" when absent) to the envelope — followed by a
-// type-specific body:
+// tenant (string), slot (int64) and trace (string, "" when untraced) —
+// followed by a type-specific body:
 //
 //	hello         u16 rack count, then rack IDs (strings)
 //	heartbeat     (empty)
@@ -38,21 +36,20 @@ import (
 // the WAL slot record and the journal's packed section. Everything is
 // length-checked against the frame, so a truncated or hostile frame decodes
 // to ErrProtocol, never a panic or an over-allocation.
-// Version negotiation (DESIGN §4i): version 1 is the historical framing;
-// version 2 adds the trace envelope field. A codec starts at version 1
-// and upgrades stickily — the tenant client enables v2 when a tracer is
-// configured, and the server-side codec upgrades when it receives its
-// first v2 frame, answering in kind for the rest of the session. A v1
-// peer therefore never sees a v2 frame it did not ask for, so old
-// clients (and old servers talking to untraced clients) interoperate
-// unchanged.
+//
+// There is one frame version. Version 1, which lacked the trace field, is
+// refused with errOlderPeer rather than decoded: no deployed peers speak
+// it, so no compatibility path is kept.
 const (
-	binMagic        = 0xBF
-	binVersion      = 1
-	binVersionTrace = 2
+	binMagic   = 0xBF
+	binVersion = 2
 
 	binFrameHeader = 6
 )
+
+// errOlderPeer answers a version-1 frame.
+var errOlderPeer = fmt.Errorf("%w: binary wire version 1 from an older peer; "+
+	"this build speaks version %d only — upgrade the peer", ErrProtocol, binVersion)
 
 // Binary message type codes (frame header byte 2).
 const (
@@ -120,11 +117,6 @@ type BinaryCodec struct {
 	w io.Writer
 	c io.Closer
 
-	// v2 flips the codec to version-2 frames (trace envelope field).
-	// Atomic because a server session's reader goroutine upgrades it on
-	// the first v2 Recv while the writer goroutine reads it in Send.
-	v2 atomic.Bool
-
 	enc []byte // encode scratch; one frame appended then written whole
 	dec []byte // decode scratch; holds the current frame's payload
 
@@ -162,12 +154,6 @@ func newBinaryCodec(r *bufio.Reader, wc io.WriteCloser) *BinaryCodec {
 // Encoding identifies the codec as the binary wire encoding.
 func (c *BinaryCodec) Encoding() Encoding { return WireBinary }
 
-// EnableTrace switches the codec to version-2 frames, which carry the
-// Message.Trace envelope field. The tenant client calls it when a tracer
-// is configured; the peer must understand v2 (an old server rejects the
-// hello), so untraced clients stay on v1 and interoperate everywhere.
-func (c *BinaryCodec) EnableTrace() { c.v2.Store(true) }
-
 // Close closes the underlying stream.
 func (c *BinaryCodec) Close() error { return c.c.Close() }
 
@@ -185,20 +171,14 @@ func (c *BinaryCodec) Send(m Message) error {
 	if code == 0 {
 		return fmt.Errorf("%w: message type %q has no binary encoding", ErrProtocol, m.Type)
 	}
-	ver := byte(binVersion)
-	if c.v2.Load() {
-		ver = binVersionTrace
-	}
-	b := append(c.enc[:0], binMagic, ver, code, 0, 0, 0)
+	b := append(c.enc[:0], binMagic, binVersion, code, 0, 0, 0)
 	var err error
 	if b, err = appendStr(b, m.Tenant); err != nil {
 		return err
 	}
 	b = binenc.AppendU64(b, uint64(int64(m.Slot)))
-	if ver >= binVersionTrace {
-		if b, err = appendStr(b, m.Trace); err != nil {
-			return err
-		}
+	if b, err = appendStr(b, m.Trace); err != nil {
+		return err
 	}
 	switch m.Type {
 	case TypeHello:
@@ -298,13 +278,12 @@ func (c *BinaryCodec) Recv() (Message, error) {
 	if _, err := io.ReadFull(c.r, hdr[1:]); err != nil {
 		return Message{}, noEOF(err)
 	}
-	if hdr[1] != binVersion && hdr[1] != binVersionTrace {
+	switch hdr[1] {
+	case binVersion:
+	case 1:
+		return Message{}, errOlderPeer
+	default:
 		return Message{}, fmt.Errorf("%w: unsupported binary wire version %d", ErrProtocol, hdr[1])
-	}
-	if hdr[1] == binVersionTrace && !c.v2.Load() {
-		// Sticky answer-in-kind upgrade: a peer that speaks v2 gets v2
-		// back for the rest of the session (never downgraded).
-		c.v2.Store(true)
 	}
 	typ := binTypeOf(hdr[2])
 	if typ == "" {
@@ -322,7 +301,7 @@ func (c *BinaryCodec) Recv() (Message, error) {
 		return Message{}, noEOF(err)
 	}
 	m := Message{Type: typ}
-	if err := c.decodePayload(&m, hdr[1]); err != nil {
+	if err := c.decodePayload(&m); err != nil {
 		if errors.Is(err, binenc.ErrTruncated) {
 			err = fmt.Errorf("%w: truncated binary frame", ErrProtocol)
 		}
@@ -333,7 +312,7 @@ func (c *BinaryCodec) Recv() (Message, error) {
 
 // decodePayload walks the frame payload held in c.dec into m (whose Type
 // is set).
-func (c *BinaryCodec) decodePayload(m *Message, ver byte) error {
+func (c *BinaryCodec) decodePayload(m *Message) error {
 	c.rd = binenc.Reader{B: c.dec}
 	r := &c.rd
 	typ := m.Type
@@ -346,15 +325,13 @@ func (c *BinaryCodec) decodePayload(m *Message, ver byte) error {
 		return err
 	}
 	m.Slot = int(int64(slot))
-	if ver >= binVersionTrace {
-		// Trace fields are per-slot unique, so interning them would churn
-		// the vocabulary table toward its cap; read raw instead.
-		raw, err := r.Str16()
-		if err != nil {
-			return err
-		}
-		m.Trace = string(raw)
+	// Trace fields are per-slot unique, so interning them would churn the
+	// vocabulary table toward its cap; read raw instead.
+	raw, err := r.Str16()
+	if err != nil {
+		return err
 	}
+	m.Trace = string(raw)
 	switch typ {
 	case TypeHello:
 		cnt, err := r.U16()

@@ -136,7 +136,7 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad magic":   corrupt(func(b []byte) []byte { b[0] = '{'; return b }),
-		"bad version": corrupt(func(b []byte) []byte { b[1] = 2; return b }),
+		"bad version": corrupt(func(b []byte) []byte { b[1] = 3; return b }),
 		"unknown type code": corrupt(func(b []byte) []byte {
 			b[2] = 99
 			return b
@@ -207,7 +207,7 @@ func TestSendRejectsUnencodableType(t *testing.T) {
 	}
 }
 
-func TestParseEncodingAndPolicy(t *testing.T) {
+func TestParseEncoding(t *testing.T) {
 	for in, want := range map[string]Encoding{"json": WireJSON, "binary": WireBinary} {
 		got, err := ParseEncoding(in)
 		if err != nil || got != want {
@@ -216,15 +216,6 @@ func TestParseEncodingAndPolicy(t *testing.T) {
 	}
 	if _, err := ParseEncoding("carrier-pigeon"); err == nil {
 		t.Error("ParseEncoding accepted nonsense")
-	}
-	for in, want := range map[string]WirePolicy{"any": WireAny, "": WireAny, "json": WireJSONOnly, "binary": WireBinaryOnly} {
-		got, err := ParseWirePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseWirePolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseWirePolicy("morse"); err == nil {
-		t.Error("ParseWirePolicy accepted nonsense")
 	}
 }
 
@@ -287,33 +278,6 @@ func TestServerNegotiatesMixedEncodings(t *testing.T) {
 		if r.price != 0.25 || len(r.grants) != 1 || r.grants[0] != want {
 			t.Errorf("client %d: price %v grants %+v, want price 0.25 grants [%+v]", i, r.price, r.grants, want)
 		}
-	}
-}
-
-// TestWirePolicyRejects proves the operator-side -wire restriction: a
-// client on the disallowed encoding is refused at hello with a typed error
-// in its own encoding.
-func TestWirePolicyRejects(t *testing.T) {
-	cases := []struct {
-		policy WirePolicy
-		wire   Encoding
-	}{
-		{WireJSONOnly, WireBinary},
-		{WireBinaryOnly, WireJSON},
-	}
-	for _, tc := range cases {
-		s := newServerOpts(t, ServerOptions{Wire: tc.policy})
-		_, err := DialOpts(s.Addr(), "t", []string{"S-1"}, ClientOptions{Wire: tc.wire})
-		if err == nil || !strings.Contains(err.Error(), "not accepted") {
-			t.Errorf("policy %v vs wire %v: want policy rejection, got %v", tc.policy, tc.wire, err)
-		}
-		// The allowed encoding still connects.
-		ok, err := DialOpts(s.Addr(), "t", []string{"S-1"}, ClientOptions{Wire: 1 - tc.wire})
-		if err != nil {
-			t.Errorf("policy %v vs wire %v: want success, got %v", tc.policy, 1-tc.wire, err)
-			continue
-		}
-		ok.Close()
 	}
 }
 

@@ -72,9 +72,7 @@ type ClientOptions struct {
 	// broadcast delivers the operator's traceparent the provisional trace
 	// is adopted into the operator's slot trace (otrace.Tracer.Adopt), so
 	// tenant spans parent under the operator's broadcast across the wire.
-	// Over the binary encoding this enables version-2 frames, which an
-	// old (v1-only) server rejects at hello; leave the tracer nil to talk
-	// to pre-trace binary servers. Nil is free.
+	// Nil is free.
 	Tracer *otrace.Tracer
 }
 
@@ -161,13 +159,7 @@ func (c *Client) connect() error {
 	}
 	var codec Wire
 	if c.opts.Wire == WireBinary {
-		bc := NewBinaryCodec(conn)
-		if c.opts.Tracer != nil {
-			// Trace propagation needs the v2 frame envelope; see
-			// ClientOptions.Tracer for the compatibility contract.
-			bc.EnableTrace()
-		}
-		codec = bc
+		codec = NewBinaryCodec(conn)
 	} else {
 		codec = NewCodec(conn)
 	}

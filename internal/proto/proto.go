@@ -91,9 +91,8 @@ type Message struct {
 	// Trace is the optional traceparent field (otrace.FormatTraceparent):
 	// on price/budget_reset it carries the operator's slot trace for the
 	// tenant to adopt; on bid it carries the tenant's provisional trace
-	// (informational). JSON peers that predate the field ignore it; the
-	// binary framing carries it only on version-2 frames (see binary.go's
-	// negotiation), so old binary peers interoperate unchanged.
+	// (informational). JSON omits it when empty; every binary frame
+	// carries it, empty when untraced (see binary.go).
 	Trace string `json:"trace,omitempty"`
 }
 

@@ -18,50 +18,6 @@ import (
 // RackResolver maps wire rack IDs to market rack indices.
 type RackResolver func(id string) (int, bool)
 
-// WirePolicy restricts which wire encodings the server accepts at hello.
-// The default accepts both: the server always answers in whichever
-// encoding the client opened with, so mixed fleets interoperate.
-type WirePolicy int
-
-// Wire acceptance policies (the operator's -wire flag).
-const (
-	// WireAny accepts JSON and binary clients alike (default).
-	WireAny WirePolicy = iota
-	// WireJSONOnly rejects binary clients.
-	WireJSONOnly
-	// WireBinaryOnly rejects JSON clients.
-	WireBinaryOnly
-)
-
-// String names the policy (the -wire flag values).
-func (p WirePolicy) String() string {
-	switch p {
-	case WireAny:
-		return "any"
-	case WireJSONOnly:
-		return "json"
-	case WireBinaryOnly:
-		return "binary"
-	default:
-		return fmt.Sprintf("WirePolicy(%d)", int(p))
-	}
-}
-
-// ParseWirePolicy parses an operator -wire flag value ("any", "json" or
-// "binary").
-func ParseWirePolicy(s string) (WirePolicy, error) {
-	switch s {
-	case "", "any":
-		return WireAny, nil
-	case "json":
-		return WireJSONOnly, nil
-	case "binary":
-		return WireBinaryOnly, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown wire policy %q (want any, json or binary)", ErrProtocol, s)
-	}
-}
-
 // ServerOptions tunes the operator-side endpoint's robustness knobs. The
 // zero value gives sensible production defaults.
 type ServerOptions struct {
@@ -90,9 +46,6 @@ type ServerOptions struct {
 	// no-spot default — so a single stalled peer costs the market loop one
 	// failed enqueue, never a blocked slot. Default 32.
 	QueueDepth int
-	// Wire restricts the accepted wire encodings (default: accept both and
-	// answer each client in the encoding it opened with).
-	Wire WirePolicy
 	// OwnerOf, if non-nil, names the tenant that owns a rack index. A hello
 	// claiming a rack owned by a different tenant is rejected outright:
 	// without this check any connected tenant could register (and bid spot
@@ -360,18 +313,6 @@ func negotiateCodec(conn net.Conn) (Wire, error) {
 	return newJSONCodec(br, conn), nil
 }
 
-// wireAllowed checks the negotiated encoding against the accept policy.
-func (s *Server) wireAllowed(e Encoding) bool {
-	switch s.opts.Wire {
-	case WireJSONOnly:
-		return e == WireJSON
-	case WireBinaryOnly:
-		return e == WireBinary
-	default:
-		return true
-	}
-}
-
 func (s *Server) handle(conn net.Conn) {
 	setConnDeadline(conn, deadline)
 	codec, err := negotiateCodec(conn)
@@ -380,11 +321,6 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	defer codec.Close()
-	if !s.wireAllowed(codec.Encoding()) {
-		_ = codec.Send(Message{Type: TypeError,
-			Detail: fmt.Sprintf("wire encoding %s not accepted (server policy: %s)", codec.Encoding(), s.opts.Wire)})
-		return
-	}
 	hello, err := codec.Recv()
 	if err != nil || hello.Type != TypeHello || hello.Tenant == "" {
 		_ = codec.Send(Message{Type: TypeError, Detail: "expected hello with tenant name"})

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -9,8 +10,8 @@ import (
 )
 
 // Wire propagation of the trace envelope field (DESIGN §4i): JSON carries
-// it as an omitempty "trace" key old peers ignore; binary carries it only
-// on version-2 frames, negotiated stickily.
+// it as an omitempty "trace" key; every binary frame carries it, empty when
+// untraced.
 
 func TestJSONTraceRoundTrip(t *testing.T) {
 	tp := otrace.FormatTraceparent(otrace.SpanContext{Trace: 0xabc, Span: 0xdef, Sampled: true})
@@ -42,40 +43,32 @@ func TestJSONTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryV1OmitsTrace(t *testing.T) {
-	var buf memStream
-	c := NewBinaryCodec(&buf)
-	m := Message{Type: TypePrice, Tenant: "acme", Slot: 4, Price: 0.05, Trace: "01-00000000000000ab-00000000000000cd-01"}
-	if err := c.Send(m); err != nil {
-		t.Fatal(err)
+// TestBinaryRefusesOlderPeer pins the one-version rule: a version-1 frame
+// (the framing before the trace field) is refused by name, not decoded.
+func TestBinaryRefusesOlderPeer(t *testing.T) {
+	raw := frame(t, Message{Type: TypeHello, Tenant: "legacy", Racks: []string{"S-1"}})
+	raw[1] = 1
+	st := &memStream{}
+	st.Write(raw)
+	_, err := NewBinaryCodec(st).Recv()
+	if !errors.Is(err, errOlderPeer) || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("v1 frame: want errOlderPeer wrapping ErrProtocol, got %v", err)
 	}
-	if got := buf.Bytes()[1]; got != binVersion {
-		t.Fatalf("frame version = %d, want v1 without EnableTrace", got)
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != "" {
-		t.Fatalf("v1 frame carried Trace %q", got.Trace)
-	}
-	m.Trace = ""
-	if got := copyMsg(got); !msgEqual(got, m) {
-		t.Fatalf("v1 round trip mismatch:\n sent %+v\n got  %+v", m, got)
+	if !strings.Contains(err.Error(), "older peer") {
+		t.Fatalf("v1 refusal does not name the older peer: %v", err)
 	}
 }
 
 func TestBinaryV2TraceRoundTrip(t *testing.T) {
 	var buf memStream
 	c := NewBinaryCodec(&buf)
-	c.EnableTrace()
 	for _, m := range wireFixtures {
 		m.Trace = "01-00000000000000ab-00000000000000cd-01"
 		if err := c.Send(m); err != nil {
 			t.Fatalf("Send(%+v): %v", m, err)
 		}
-		if got := buf.Bytes()[1]; got != binVersionTrace {
-			t.Fatalf("frame version = %d, want v2", got)
+		if got := buf.Bytes()[1]; got != binVersion {
+			t.Fatalf("frame version = %d, want %d", got, binVersion)
 		}
 		got, err := c.Recv()
 		if err != nil {
@@ -94,9 +87,12 @@ func TestBinaryV2TraceRoundTrip(t *testing.T) {
 func TestBinaryV2EmptyTrace(t *testing.T) {
 	var buf memStream
 	c := NewBinaryCodec(&buf)
-	c.EnableTrace()
 	if err := c.Send(Message{Type: TypeHeartBeat, Tenant: "acme", Slot: 3}); err != nil {
 		t.Fatal(err)
+	}
+	// Envelope = tenant (2+4) + slot (8) + the empty trace field (2).
+	if n := buf.Len() - binFrameHeader; n != 16 {
+		t.Fatalf("untraced heartbeat payload = %d bytes, want 16", n)
 	}
 	got, err := c.Recv()
 	if err != nil {
@@ -107,70 +103,39 @@ func TestBinaryV2EmptyTrace(t *testing.T) {
 	}
 }
 
-// TestBinaryStickyV2Negotiation pins the answer-in-kind upgrade: a codec
-// that receives one v2 frame answers v2 for the rest of the session, and a
-// codec that only ever sees v1 stays v1.
-func TestBinaryStickyV2Negotiation(t *testing.T) {
+// TestBinaryTraceNeedsNoNegotiation: fresh codecs on both ends carry the
+// trace upstream (bid) and downstream (price) with no per-session setup.
+func TestBinaryTraceNeedsNoNegotiation(t *testing.T) {
 	var wire memStream
 	client := NewBinaryCodec(&wire)
-	client.EnableTrace()
-	server := NewBinaryCodec(&wire) // shares the buffer: client writes, server reads
+	server := NewBinaryCodec(&wire) // shares the buffer: one side writes, the other reads
 
-	if err := client.Send(Message{Type: TypeHello, Tenant: "acme", Racks: []string{"S-1"}, Trace: "01-00000000000000ab-00000000000000cd-00"}); err != nil {
+	up := "01-00000000000000ab-00000000000000cd-00"
+	if err := client.Send(Message{Type: TypeBid, Tenant: "acme", Slot: 1, Trace: up}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if !server.v2.Load() {
-		t.Fatal("server codec did not upgrade on a v2 frame")
-	}
-	// The server's answers now carry v2 frames (trace delivered downstream).
-	wire.Reset()
-	tp := "01-0000000000000011-0000000000000022-01"
-	if err := server.Send(Message{Type: TypePrice, Tenant: "acme", Slot: 1, Price: 0.02, Trace: tp}); err != nil {
-		t.Fatal(err)
-	}
-	if got := wire.Bytes()[1]; got != binVersionTrace {
-		t.Fatalf("upgraded server sent version %d", got)
-	}
-	got, err := client.Recv()
+	got, err := server.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Trace != tp {
-		t.Fatalf("client received Trace %q, want %q", got.Trace, tp)
+	if got.Trace != up {
+		t.Fatalf("server received Trace %q, want %q", got.Trace, up)
 	}
-
-	// A v1-only exchange never upgrades: old clients see v1 forever.
-	var wire2 memStream
-	old := NewBinaryCodec(&wire2)
-	srv2 := NewBinaryCodec(&wire2)
-	if err := old.Send(Message{Type: TypeHello, Tenant: "legacy"}); err != nil {
+	down := "01-0000000000000011-0000000000000022-01"
+	if err := server.Send(Message{Type: TypePrice, Tenant: "acme", Slot: 1, Price: 0.02, Trace: down}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv2.Recv(); err != nil {
+	if got, err = client.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	wire2.Reset()
-	if err := srv2.Send(Message{Type: TypePrice, Tenant: "legacy", Slot: 1, Trace: tp}); err != nil {
-		t.Fatal(err)
-	}
-	if got := wire2.Bytes()[1]; got != binVersion {
-		t.Fatalf("v1 session sent version %d frame", got)
-	}
-	gotOld, err := old.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotOld.Trace != "" {
-		t.Fatalf("v1 client received Trace %q", gotOld.Trace)
+	if got.Trace != down {
+		t.Fatalf("client received Trace %q, want %q", got.Trace, down)
 	}
 }
 
 // FuzzTraceFieldRoundTrip drives arbitrary trace strings through both
 // encodings: whatever value the envelope carries must survive JSON and a
-// v2 binary frame byte-identically (or error cleanly, never panic).
+// binary frame byte-identically (or error cleanly, never panic).
 func FuzzTraceFieldRoundTrip(f *testing.F) {
 	f.Add("01-00000000000000ab-00000000000000cd-01", "acme", int64(9))
 	f.Add("", "t", int64(-1))
@@ -197,7 +162,6 @@ func FuzzTraceFieldRoundTrip(f *testing.F) {
 
 		var bb memStream
 		bc := NewBinaryCodec(&bb)
-		bc.EnableTrace()
 		if err := bc.Send(m); err != nil {
 			if len(trace) > 1<<16 || len(tenant) > 1<<16 {
 				return // string-field cap; a clean error is the contract

@@ -233,8 +233,8 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 		t.Fatalf("no adopted tenant traces (awaited %d, adopted submits %d)", awaited, adopted)
 	}
 	// WireFor splits the agents half-binary, half-JSON; adoption must be
-	// proven over both encodings (binary via v2 frames, JSON via the trace
-	// key). Sprint tenants only bid when load outruns their reservation,
+	// proven over both encodings (binary via the frame's trace field, JSON
+	// via the trace key). Sprint tenants only bid when load outruns their reservation,
 	// so coverage is per encoding group, not per tenant.
 	byEncoding := map[proto.Encoding]int{}
 	for i, a := range sc.Agents {

@@ -60,6 +60,8 @@
 #      spotdc => ../), so `./...` above never reaches it; vet and test it
 #      against this checkout so an internal/* API change cannot break the
 #      BENCHMARK.json harness unnoticed
+#  15. every examples/ program, built and run: they are the only consumers
+#      of the root package's API (spotdc.go), so they are its contract
 #
 # Tier-1 (ROADMAP.md) remains `go build ./... && go test ./...`; this script
 # is a superset of it.
@@ -98,4 +100,8 @@ echo '== bench smoke: wire codec + broadcast fan-out'
 go test -run '^$' -bench 'BenchmarkCodec|BenchmarkBroadcast' -benchtime 1x -benchmem ./internal/proto/
 echo '== bench harness module: go vet + go test'
 (cd bench && go vet ./... && go test ./...)
+echo '== examples: build and run each program against the root package API'
+for ex in examples/*/main.go; do
+	go run "./$(dirname "$ex")" >/dev/null
+done
 echo 'check: OK'

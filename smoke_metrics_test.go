@@ -13,7 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"spotdc"
+	"spotdc/internal/metrics"
+	"spotdc/internal/sim"
 )
 
 func scrape(t *testing.T, addr string) string {
@@ -31,24 +32,24 @@ func scrape(t *testing.T, addr string) string {
 }
 
 func TestSmokeMetricsScrape(t *testing.T) {
-	reg := spotdc.NewMetricsRegistry()
-	addr, shutdown, err := spotdc.ServeMetrics("127.0.0.1:0", reg)
+	reg := metrics.NewRegistry()
+	addr, shutdown, err := metrics.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown()
 
-	sc, err := spotdc.Testbed(spotdc.TestbedOptions{Seed: 7, Slots: 80})
+	sc, err := sim.Testbed(sim.TestbedOptions{Seed: 7, Slots: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		res *spotdc.NetResult
+		res *sim.NetResult
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := spotdc.NetRun(sc, spotdc.NetRunOptions{
+		res, err := sim.NetRun(sc, sim.NetRunOptions{
 			SlotLen:  20 * time.Millisecond,
 			Registry: reg,
 		})
