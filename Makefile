@@ -1,8 +1,8 @@
 # SpotDC build/verify entry points.
 #
-#   make check          tier-1 verification plus vet and the race detector
-#                       (the parallel exact-clearing candidate evaluator must
-#                       stay race-clean)
+#   make check          scripts/check.sh: build, vet, every test once under
+#                       the race detector (the smokes below included), fuzz
+#                       and benchmark smokes, the bench/ module, examples/
 #   make test           tier-1 verification only (build + tests)
 #   make smoke-faults   seeded fault-schedule smoke run: 220 networked slots
 #                       with bid loss, broadcast loss, severed connections
@@ -32,9 +32,9 @@
 #                       networked market killed at randomized slot
 #                       boundaries (one kill tearing the WAL tail) and
 #                       recovered from the state directory each time must
-#                       produce books, responder state, invoices and a
-#                       slot journal bit-identical to an uninterrupted
-#                       run, race detector on
+#                       produce books, responder state and a slot
+#                       journal bit-identical to an uninterrupted run,
+#                       race detector on
 #   make fuzz-smoke     10 s each of the two slot-record fuzzers — the
 #                       journal's packed-section decoder and the WAL slot-
 #                       record decoder — past their seed corpora: hostile
@@ -71,7 +71,7 @@ smoke-spans:
 	$(GO) test -race -count=1 -v -run 'TestNetRunSpansMatchFaultSchedule|TestSmokeSpans' ./internal/sim/
 
 smoke-crash:
-	$(GO) test -race -count=1 -v -run 'TestCrash' ./internal/sim/ ./internal/billing/
+	$(GO) test -race -count=1 -v -run 'TestCrash' ./internal/sim/
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalSectionDecode' -fuzztime 10s ./internal/metrics/

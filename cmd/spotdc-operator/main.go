@@ -440,8 +440,12 @@ func main() {
 			cleared, n, degraded, loop.BreakerTripped())
 	}
 	if *emergency {
-		log.Printf("spotdc-operator: emergency responder: %d emergencies acted on, %.1f W spot reclaimed, %.1f W guaranteed curtailed (%d involuntary cuts)",
-			op.EmergenciesActed(), op.ReclaimedWatts(), op.GuaranteedCutWatts(), op.InvoluntaryCuts())
+		failed, lastErr := op.HookFailures()
+		log.Printf("spotdc-operator: emergency responder: %d emergencies acted on, %.1f W spot reclaimed, %.1f W guaranteed curtailed (%d involuntary cuts), %d budget resets failed",
+			op.EmergenciesActed(), op.ReclaimedWatts(), op.GuaranteedCutWatts(), op.InvoluntaryCuts(), failed)
+		if lastErr != nil {
+			log.Printf("spotdc-operator: last budget-reset failure: %v", lastErr)
+		}
 	}
 	if err := journal.Err(); err != nil {
 		log.Printf("spotdc-operator: slot journal degraded: %v", err)

@@ -1,6 +1,6 @@
-// Package billing turns SpotDC's per-slot market outcomes into tenant
-// invoices: guaranteed-capacity subscription, metered energy, and spot
-// capacity line items. In a colocation business this is the surface
+// Package billing renders tenant invoices from a simulation run's
+// per-tenant totals: guaranteed-capacity subscription, metered energy, and
+// spot capacity line items. In a colocation business this is the surface
 // tenants actually see; the paper's cost comparisons (Fig. 12(a)) are
 // ratios of exactly these totals.
 package billing
@@ -15,91 +15,10 @@ import (
 
 	"spotdc/internal/operator"
 	"spotdc/internal/sim"
-	"spotdc/internal/stats"
 )
 
 // ErrBilling reports invalid billing input.
 var ErrBilling = errors.New("billing: invalid input")
-
-// Ledger accumulates slot-level usage records per tenant. It is the
-// streaming counterpart of sim's aggregated TenantStats, suitable for the
-// live operator loop.
-type Ledger struct {
-	pricing operator.Pricing
-	tenants map[string]*usage
-}
-
-// usage accumulates a tenant's streaming slot records. Hours, energy, and
-// money use compensated (Neumaier) accumulators: a month of 5-minute slots
-// is ~8,760 per-slot terms per tenant, and naive += drops small spot
-// payments once the running totals grow (see stats.Neumaier).
-type usage struct {
-	reservedWatts float64
-	hours         stats.Neumaier
-	energyKWh     stats.Neumaier
-	spotKWh       stats.Neumaier
-	spotPaid      stats.Neumaier
-	spotSlots     int
-	peakSpotWatts float64
-}
-
-// NewLedger builds a ledger under the given pricing.
-func NewLedger(pricing operator.Pricing) (*Ledger, error) {
-	if err := pricing.Validate(); err != nil {
-		return nil, err
-	}
-	return &Ledger{pricing: pricing, tenants: make(map[string]*usage)}, nil
-}
-
-// Register declares a tenant and its reserved capacity; records for
-// unregistered tenants are rejected so typos surface early.
-func (l *Ledger) Register(tenant string, reservedWatts float64) error {
-	if tenant == "" {
-		return fmt.Errorf("%w: empty tenant name", ErrBilling)
-	}
-	if reservedWatts < 0 {
-		return fmt.Errorf("%w: negative reservation", ErrBilling)
-	}
-	if _, dup := l.tenants[tenant]; dup {
-		return fmt.Errorf("%w: tenant %q already registered", ErrBilling, tenant)
-	}
-	l.tenants[tenant] = &usage{reservedWatts: reservedWatts}
-	return nil
-}
-
-// RecordSlot adds one slot of usage: the tenant's total draw, its spot
-// grant, and the slot's clearing price.
-func (l *Ledger) RecordSlot(tenant string, drawWatts, spotGrantWatts, price, slotHours float64) error {
-	u, ok := l.tenants[tenant]
-	if !ok {
-		return fmt.Errorf("%w: unknown tenant %q", ErrBilling, tenant)
-	}
-	if drawWatts < 0 || spotGrantWatts < 0 || price < 0 || slotHours <= 0 {
-		return fmt.Errorf("%w: negative usage for %q", ErrBilling, tenant)
-	}
-	u.hours.Add(slotHours)
-	u.energyKWh.Add(drawWatts / 1000 * slotHours)
-	u.spotKWh.Add(spotGrantWatts / 1000 * slotHours)
-	u.spotPaid.Add(price * spotGrantWatts / 1000 * slotHours)
-	if spotGrantWatts > 0 {
-		u.spotSlots++
-		if spotGrantWatts > u.peakSpotWatts {
-			u.peakSpotWatts = spotGrantWatts
-		}
-	}
-	return nil
-}
-
-// SpotPaidTotal returns the ledger-wide sum of spot line items in $ — the
-// quantity that must reconcile with the operator's SpotRevenue (audit
-// invariant: every dollar billed to a tenant was earned in some slot).
-func (l *Ledger) SpotPaidTotal() float64 {
-	var total stats.Neumaier
-	for _, u := range l.tenants {
-		total.Add(u.spotPaid.Sum())
-	}
-	return total.Sum()
-}
 
 // LineItem is one row of an invoice.
 type LineItem struct {
@@ -128,66 +47,8 @@ type Invoice struct {
 	SpotShare float64 `json:"spot_share"`
 }
 
-// InvoiceOf renders one tenant's invoice from the ledger.
-func (l *Ledger) InvoiceOf(tenant string) (Invoice, error) {
-	u, ok := l.tenants[tenant]
-	if !ok {
-		return Invoice{}, fmt.Errorf("%w: unknown tenant %q", ErrBilling, tenant)
-	}
-	return buildInvoice(l.pricing, tenant, u), nil
-}
-
-// Invoices renders every registered tenant's invoice, sorted by name.
-func (l *Ledger) Invoices() []Invoice {
-	names := make([]string, 0, len(l.tenants))
-	for n := range l.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Invoice, 0, len(names))
-	for _, n := range names {
-		out = append(out, buildInvoice(l.pricing, n, l.tenants[n]))
-	}
-	return out
-}
-
-func buildInvoice(p operator.Pricing, tenant string, u *usage) Invoice {
-	hours := u.hours.Sum()
-	energyKWh := u.energyKWh.Sum()
-	spotKWh := u.spotKWh.Sum()
-	spotPaid := u.spotPaid.Sum()
-	inv := Invoice{Tenant: tenant, PeriodHours: hours}
-	kwMonths := u.reservedWatts / 1000 * hours / operator.HoursPerMonth
-	sub := kwMonths * p.GuaranteedPerKWMonth
-	inv.Items = append(inv.Items, LineItem{
-		Description: "guaranteed capacity subscription",
-		Quantity:    kwMonths, Unit: "kW-month",
-		Rate: p.GuaranteedPerKWMonth, Amount: sub,
-	})
-	energy := energyKWh * p.EnergyPerKWh
-	inv.Items = append(inv.Items, LineItem{
-		Description: "metered energy",
-		Quantity:    energyKWh, Unit: "kWh",
-		Rate: p.EnergyPerKWh, Amount: energy,
-	})
-	spotRate := 0.0
-	if spotKWh > 0 {
-		spotRate = spotPaid / spotKWh
-	}
-	inv.Items = append(inv.Items, LineItem{
-		Description: fmt.Sprintf("spot capacity (%d slots, peak %.0f W)", u.spotSlots, u.peakSpotWatts),
-		Quantity:    spotKWh, Unit: "kWh",
-		Rate: spotRate, Amount: spotPaid,
-	})
-	inv.Total = sub + energy + spotPaid
-	if inv.Total > 0 {
-		inv.SpotShare = spotPaid / inv.Total
-	}
-	return inv
-}
-
-// FromSimResult builds a ledger-equivalent set of invoices directly from a
-// finished simulation run.
+// FromSimResult renders one invoice per tenant of a finished simulation
+// run, sorted by tenant name, from the simulator's per-tenant totals.
 func FromSimResult(res *sim.Result, pricing operator.Pricing) ([]Invoice, error) {
 	if res == nil {
 		return nil, fmt.Errorf("%w: nil result", ErrBilling)
@@ -195,24 +56,49 @@ func FromSimResult(res *sim.Result, pricing operator.Pricing) ([]Invoice, error)
 	if err := pricing.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := NewLedger(pricing)
-	if err != nil {
-		return nil, err
+	names := make([]string, 0, len(res.Tenants))
+	for n := range res.Tenants {
+		names = append(names, n)
 	}
-	for name, ts := range res.Tenants {
-		if err := l.Register(name, ts.Reserved); err != nil {
-			return nil, err
-		}
-		u := l.tenants[name]
-		// The simulator aggregates; transplant its totals.
-		u.hours.Add(res.Hours())
-		u.energyKWh.Add(ts.EnergyKWh)
-		u.spotKWh.Add(ts.SpotKWh)
-		u.spotPaid.Add(ts.Payment)
-		u.spotSlots = ts.GrantSlots
-		u.peakSpotWatts = ts.GrantFrac.Max() * ts.Reserved
+	sort.Strings(names)
+	out := make([]Invoice, 0, len(names))
+	for _, n := range names {
+		out = append(out, invoiceOf(pricing, n, res.Hours(), res.Tenants[n]))
 	}
-	return l.Invoices(), nil
+	return out, nil
+}
+
+// invoiceOf bills one tenant for hours of its reservation, its metered
+// energy, and its spot capacity at what it actually paid.
+func invoiceOf(p operator.Pricing, tenant string, hours float64, ts *sim.TenantStats) Invoice {
+	inv := Invoice{Tenant: tenant, PeriodHours: hours}
+	kwMonths := ts.Reserved / 1000 * hours / operator.HoursPerMonth
+	sub := kwMonths * p.GuaranteedPerKWMonth
+	inv.Items = append(inv.Items, LineItem{
+		Description: "guaranteed capacity subscription",
+		Quantity:    kwMonths, Unit: "kW-month",
+		Rate: p.GuaranteedPerKWMonth, Amount: sub,
+	})
+	energy := ts.EnergyKWh * p.EnergyPerKWh
+	inv.Items = append(inv.Items, LineItem{
+		Description: "metered energy",
+		Quantity:    ts.EnergyKWh, Unit: "kWh",
+		Rate: p.EnergyPerKWh, Amount: energy,
+	})
+	spotRate := 0.0
+	if ts.SpotKWh > 0 {
+		spotRate = ts.Payment / ts.SpotKWh
+	}
+	inv.Items = append(inv.Items, LineItem{
+		Description: fmt.Sprintf("spot capacity (%d slots, peak %.0f W)", ts.GrantSlots, ts.GrantFrac.Max()*ts.Reserved),
+		Quantity:    ts.SpotKWh, Unit: "kWh",
+		Rate: spotRate, Amount: ts.Payment,
+	})
+	inv.Total = sub + energy + ts.Payment
+	if inv.Total > 0 {
+		inv.SpotShare = ts.Payment / inv.Total
+	}
+	return inv
 }
 
 // Fprint renders an invoice as aligned text.

@@ -12,74 +12,34 @@ import (
 	"spotdc/internal/sim"
 )
 
-func newLedger(t *testing.T) *Ledger {
-	t.Helper()
-	l, err := NewLedger(operator.DefaultPricing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func TestNewLedgerValidatesPricing(t *testing.T) {
-	if _, err := NewLedger(operator.Pricing{GuaranteedPerKWMonth: -1, InfraLifetimeYears: 1, RackLifetimeYears: 1}); err == nil {
-		t.Error("bad pricing accepted")
-	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	l := newLedger(t)
-	if err := l.Register("", 100); !errors.Is(err, ErrBilling) {
-		t.Error("empty name accepted")
-	}
-	if err := l.Register("a", -1); !errors.Is(err, ErrBilling) {
-		t.Error("negative reservation accepted")
-	}
-	if err := l.Register("a", 145); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Register("a", 145); !errors.Is(err, ErrBilling) {
-		t.Error("duplicate accepted")
-	}
-}
-
-func TestRecordSlotValidation(t *testing.T) {
-	l := newLedger(t)
-	if err := l.RecordSlot("ghost", 100, 0, 0, 1); !errors.Is(err, ErrBilling) {
-		t.Error("unknown tenant accepted")
-	}
-	if err := l.Register("a", 145); err != nil {
-		t.Fatal(err)
-	}
-	bad := [][4]float64{{-1, 0, 0, 1}, {1, -1, 0, 1}, {1, 0, -1, 1}, {1, 0, 0, 0}}
-	for i, b := range bad {
-		if err := l.RecordSlot("a", b[0], b[1], b[2], b[3]); !errors.Is(err, ErrBilling) {
-			t.Errorf("bad record %d accepted", i)
-		}
+// oneTenant is a finished run of hours with a single tenant's totals.
+func oneTenant(name string, hours float64, ts sim.TenantStats) *sim.Result {
+	return &sim.Result{
+		Slots: int(math.Round(hours * 30)), SlotSeconds: 120,
+		Tenants: map[string]*sim.TenantStats{name: &ts},
 	}
 }
 
 func TestInvoiceArithmetic(t *testing.T) {
-	l := newLedger(t)
-	if err := l.Register("Search-1", 145); err != nil {
-		t.Fatal(err)
-	}
 	// 30 slots of 2 minutes = 1 hour: draw 130 W, two slots with 30 W spot
 	// at $0.2/kWh.
 	slotH := 2.0 / 60
+	ts := sim.TenantStats{Reserved: 145, GrantSlots: 2}
+	ts.GrantFrac.Observe(30.0 / 145)
 	for i := 0; i < 30; i++ {
 		spot, price := 0.0, 0.0
 		if i < 2 {
 			spot, price = 30, 0.2
 		}
-		if err := l.RecordSlot("Search-1", 130+spot, spot, price, slotH); err != nil {
-			t.Fatal(err)
-		}
+		ts.EnergyKWh += (130 + spot) / 1000 * slotH
+		ts.SpotKWh += spot / 1000 * slotH
+		ts.Payment += price * spot / 1000 * slotH
 	}
-	inv, err := l.InvoiceOf("Search-1")
+	invs, err := FromSimResult(oneTenant("Search-1", 1, ts), operator.DefaultPricing())
 	if err != nil {
 		t.Fatal(err)
 	}
+	inv := invs[0]
 	if math.Abs(inv.PeriodHours-1) > 1e-9 {
 		t.Errorf("period = %v h", inv.PeriodHours)
 	}
@@ -109,22 +69,18 @@ func TestInvoiceArithmetic(t *testing.T) {
 	if math.Abs(inv.Items[2].Rate-0.2) > 1e-9 {
 		t.Errorf("spot rate = %v, want 0.2", inv.Items[2].Rate)
 	}
-	if _, err := l.InvoiceOf("ghost"); !errors.Is(err, ErrBilling) {
-		t.Error("unknown invoice accepted")
+	if want := "spot capacity (2 slots, peak 30 W)"; inv.Items[2].Description != want {
+		t.Errorf("spot item %q, want %q", inv.Items[2].Description, want)
 	}
 }
 
 func TestInvoicesSortedAndPrintable(t *testing.T) {
-	l := newLedger(t)
-	for _, n := range []string{"zeta", "alpha"} {
-		if err := l.Register(n, 100); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.RecordSlot(n, 90, 10, 0.1, 0.5); err != nil {
-			t.Fatal(err)
-		}
+	res := oneTenant("zeta", 0.5, sim.TenantStats{Reserved: 100, EnergyKWh: 0.045, SpotKWh: 0.005, Payment: 0.0005})
+	res.Tenants["alpha"] = res.Tenants["zeta"]
+	invs, err := FromSimResult(res, operator.DefaultPricing())
+	if err != nil {
+		t.Fatal(err)
 	}
-	invs := l.Invoices()
 	if len(invs) != 2 || invs[0].Tenant != "alpha" || invs[1].Tenant != "zeta" {
 		t.Fatalf("order: %+v", invs)
 	}
@@ -149,15 +105,12 @@ func TestInvoicesSortedAndPrintable(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	l := newLedger(t)
-	if err := l.Register("a", 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.RecordSlot("a", 90, 10, 0.1, 0.5); err != nil {
+	invs, err := FromSimResult(oneTenant("a", 0.5, sim.TenantStats{Reserved: 100, EnergyKWh: 0.045}), operator.DefaultPricing())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, l.Invoices()); err != nil {
+	if err := WriteCSV(&buf, invs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -208,5 +161,9 @@ func TestFromSimResult(t *testing.T) {
 	}
 	if _, err := FromSimResult(nil, pricing); !errors.Is(err, ErrBilling) {
 		t.Error("nil result accepted")
+	}
+	bad := operator.Pricing{GuaranteedPerKWMonth: -1, InfraLifetimeYears: 1, RackLifetimeYears: 1}
+	if _, err := FromSimResult(res, bad); !errors.Is(err, operator.ErrPricing) {
+		t.Errorf("bad pricing: err = %v", err)
 	}
 }

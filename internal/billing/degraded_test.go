@@ -1,6 +1,7 @@
 package billing
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -11,10 +12,11 @@ import (
 
 // TestDegradedSlotBillsNoSpot is the regression for the degraded-slot
 // billing leak: a slot that fails to clear (poisoned telemetry here) must
-// contribute zero spot line items — the no-spot default means nobody got
-// capacity, so nobody is billed — and the ledger must still reconcile with
-// the operator's spot revenue to the dollar. The leak this guards against
-// billed degraded slots at the previous slot's price and grants.
+// add nothing to any tenant's spot account — the no-spot default means
+// nobody got capacity, so nobody is billed — and the accounts must still
+// reconcile with the operator's spot revenue to the dollar. The leak this
+// guards against billed degraded slots at the previous slot's price and
+// grants.
 func TestDegradedSlotBillsNoSpot(t *testing.T) {
 	topo, err := power.NewTopology(1370,
 		[]power.PDU{{ID: "PDU#1", Capacity: 715}, {ID: "PDU#2", Capacity: 724}},
@@ -31,11 +33,12 @@ func TestDegradedSlotBillsNoSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	led := newLedger(t)
-	for _, r := range topo.Racks {
-		if err := led.Register(r.Tenant, r.Guaranteed); err != nil {
-			t.Fatal(err)
+	billed := func() float64 {
+		total := op.UnattributedRevenue()
+		for _, r := range topo.Racks {
+			total += op.PaymentOf(r.Tenant)
 		}
+		return total
 	}
 
 	bids := func() []core.Bid {
@@ -60,65 +63,58 @@ func TestDegradedSlotBillsNoSpot(t *testing.T) {
 
 	const slotHours = 1.0 / 12
 	degraded := 0
+	var prior operator.SlotCommit // the slot before the degraded one
 	for slot := 0; slot < 10; slot++ {
+		before := billed()
 		out, err := op.RunSlot(bids(), reading(slot == 4), slotHours)
 		if err != nil {
 			// Degraded slot: the market loop falls back to the no-spot
-			// default (Section III-C). Tenants draw their guaranteed power
-			// but there are NO spot grants and NO spot charges — the
-			// leak billed this slot at the previous price/grants.
+			// default (Section III-C). There are NO spot grants and NO spot
+			// charges — the leak billed this slot at the previous
+			// price/grants.
 			degraded++
-			for i, r := range topo.Racks {
-				draw := 0.75 * r.Guaranteed
-				if math.IsNaN(reading(slot == 4).RackWatts[i]) {
-					draw = r.Guaranteed
-				}
-				if err := led.RecordSlot(r.Tenant, draw, 0, 0, slotHours); err != nil {
-					t.Fatal(err)
-				}
+			if after := billed(); after != before {
+				t.Errorf("degraded slot %d billed $%v of spot", slot, after-before)
 			}
 			continue
 		}
-		grants := make(map[string]float64)
-		for _, a := range out.Result.Allocations {
-			if a.Watts > 0 {
-				grants[a.Tenant] += a.Watts
-			}
-		}
-		for i, r := range topo.Racks {
-			if err := led.RecordSlot(r.Tenant, reading(false).RackWatts[i]+grants[r.Tenant],
-				grants[r.Tenant], out.Result.Price, slotHours); err != nil {
-				t.Fatal(err)
-			}
+		if slot == 3 {
+			prior = op.LastSlotCommit(out, slotHours)
+			prior.Payments = append([]operator.PaymentDelta(nil), prior.Payments...)
 		}
 	}
 	if degraded != 1 {
 		t.Fatalf("degraded slots = %d, want exactly 1 (the poisoned reading)", degraded)
 	}
 
-	// Every dollar billed as a spot line item was earned by the operator in
+	// Every dollar in a tenant's spot account was earned by the operator in
 	// some cleared slot; the degraded slot contributed none.
-	billed := led.SpotPaidTotal()
 	earned := op.SpotRevenue()
 	if earned <= 0 {
 		t.Fatal("test premise broken: no spot revenue in cleared slots")
 	}
-	if d := math.Abs(billed - earned); d > 1e-9*(1+earned) {
-		t.Errorf("ledger spot $%v vs operator spot $%v (Δ %g)", billed, earned, d)
+	if d := math.Abs(billed() - earned); d > 1e-9*(1+earned) {
+		t.Errorf("accounts spot $%v vs operator spot $%v (Δ %g)", billed(), earned, d)
 	}
-
-	// Teeth: re-billing the degraded slot at the prior slot's outcome (the
-	// bug) must break reconciliation — proving the check above detects it.
-	leak := earned / 9 // one slot's worth of revenue, roughly
-	if err := led.RecordSlot("Search-1", 145, leak*1000/slotHours/0.1, 0.1, slotHours); err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(led.SpotPaidTotal() - earned); d <= 1e-9*(1+earned) {
-		t.Error("reconciliation failed to detect a degraded-slot billing leak")
-	}
-
-	// The operator's own books agree with themselves.
 	if err := op.ReconcileAccounts(); err != nil {
 		t.Error(err)
+	}
+
+	// Teeth: re-billing the degraded slot at the prior slot's price and
+	// grants (the bug) — payments with no revenue behind them — must break
+	// reconciliation, proving the check above detects it.
+	if len(prior.Payments) == 0 {
+		t.Fatal("test premise broken: the slot before the degraded one sold nothing")
+	}
+	leak := operator.SlotCommit{
+		Payments: prior.Payments,
+		Slots:    op.Slots(), EmergencySlots: op.EmergencySlots(),
+		SpotPDU: op.LastSpot().PDUWatts, SpotUPS: op.LastSpot().UPSWatts,
+	}
+	if err := op.ApplySlotCommit(leak); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.ReconcileAccounts(); !errors.Is(err, operator.ErrUnreconciled) {
+		t.Errorf("reconciliation failed to detect a degraded-slot billing leak: err = %v", err)
 	}
 }

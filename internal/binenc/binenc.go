@@ -50,14 +50,6 @@ func AppendStr(b []byte, s string) ([]byte, error) {
 	return append(AppendU16(b, uint16(len(s))), s...), nil
 }
 
-// AppendBytes appends a u32-length-prefixed opaque byte string.
-func AppendBytes(b, p []byte) ([]byte, error) {
-	if uint64(len(p)) > math.MaxUint32 {
-		return b, ErrTooLong
-	}
-	return append(AppendU32(b, uint32(len(p))), p...), nil
-}
-
 // AppendCount appends a section's u32 element count.
 func AppendCount(b []byte, n int) ([]byte, error) {
 	if uint64(n) > math.MaxUint32 {
@@ -212,15 +204,6 @@ func (r *Reader) Take(n int) ([]byte, error) {
 // the reader's slice (callers intern or copy).
 func (r *Reader) Str16() ([]byte, error) {
 	n, err := r.U16()
-	if err != nil {
-		return nil, err
-	}
-	return r.Take(int(n))
-}
-
-// Bytes32 returns a u32-length-prefixed byte string, aliasing the slice.
-func (r *Reader) Bytes32() ([]byte, error) {
-	n, err := r.U32()
 	if err != nil {
 		return nil, err
 	}

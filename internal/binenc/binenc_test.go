@@ -17,7 +17,6 @@ func TestScalarsAndSectionsRoundTrip(t *testing.T) {
 	b = AppendInt(b, -42)
 	b = AppendF64(b, nan)
 	b, _ = AppendStr(b, "tenant")
-	b, _ = AppendBytes(b, []byte{0, 1, 2})
 	b, _ = AppendF64s(b, floats)
 	b, _ = AppendF64s(b, nil)
 	b, _ = AppendInts(b, []int{-1, 0, math.MaxInt64})
@@ -40,9 +39,6 @@ func TestScalarsAndSectionsRoundTrip(t *testing.T) {
 	}
 	if v, _ := r.Str16(); string(v) != "tenant" {
 		t.Errorf("Str16 = %q", v)
-	}
-	if v, _ := r.Bytes32(); !reflect.DeepEqual(v, []byte{0, 1, 2}) {
-		t.Errorf("Bytes32 = %v", v)
 	}
 	got, err := r.F64s(nil)
 	if err != nil || len(got) != len(floats) {
@@ -72,11 +68,10 @@ func TestScalarsAndSectionsRoundTrip(t *testing.T) {
 func TestCountsAreCheckedBeforeSizing(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}
 	for name, read := range map[string]func(*Reader) error{
-		"F64s":    func(r *Reader) error { _, err := r.F64s(nil); return err },
-		"Ints":    func(r *Reader) error { _, err := r.Ints(nil); return err },
-		"Names":   func(r *Reader) error { _, err := r.ReadNames(nil); return err },
-		"Bytes32": func(r *Reader) error { _, err := r.Bytes32(); return err },
-		"Count":   func(r *Reader) error { _, err := r.Count(1); return err },
+		"F64s":  func(r *Reader) error { _, err := r.F64s(nil); return err },
+		"Ints":  func(r *Reader) error { _, err := r.Ints(nil); return err },
+		"Names": func(r *Reader) error { _, err := r.ReadNames(nil); return err },
+		"Count": func(r *Reader) error { _, err := r.Count(1); return err },
 	} {
 		r := Reader{B: huge}
 		if allocs := testing.AllocsPerRun(1, func() { r.Off = 0; _ = read(&r) }); allocs != 0 {

@@ -25,13 +25,9 @@ type MuxOptions struct {
 	Extra map[string]http.Handler
 }
 
-// Mux returns a ServeMux with the standard observability endpoints:
-// /metrics (Prometheus text exposition) and /healthz (liveness, "ok").
-func Mux(r *Registry) *http.ServeMux {
-	return MuxOpts(r, MuxOptions{})
-}
-
-// MuxOpts is Mux with optional pprof handlers and extra routes.
+// MuxOpts returns a ServeMux with the standard observability endpoints —
+// /metrics (Prometheus text exposition) and /healthz (liveness, "ok") —
+// plus the optional pprof handlers and extra routes.
 func MuxOpts(r *Registry, o MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))

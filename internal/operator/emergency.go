@@ -389,7 +389,8 @@ func (op *Operator) InvoluntaryCuts() int {
 
 // HookFailures reports budget-reset hook errors: the count and the most
 // recent error. The responder never aborts on a failed reset — a partial
-// reclamation is still safer than none — so failures are surfaced here.
+// reclamation is still safer than none — so failures are surfaced here and
+// counted in spotdc_operator_budget_reset_failures_total.
 func (op *Operator) HookFailures() (int, error) {
 	if op.responder == nil {
 		return 0, nil
@@ -537,6 +538,9 @@ func (op *Operator) applyBudgets(targets []ReclaimTarget) {
 				rs.hookFailures++
 				rs.lastHookErr = err
 				rs.hookMu.Unlock()
+				if op.met != nil {
+					op.met.resetFailures.Inc()
+				}
 			}
 		}(t)
 	}

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"spotdc/internal/core"
+	"spotdc/internal/metrics"
 	"spotdc/internal/power"
 )
 
@@ -270,5 +272,46 @@ func TestResponderQuiescentPathAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("healthy-slot emergency scan allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestBudgetResetFailuresAreCounted: a rack PDU that refuses its budget
+// reset must not stop the responder (the plan is still acted on), and must
+// not go unnoticed either — both the
+// failures_total counter and HookFailures, which spotdc-operator prints at
+// shutdown, see every failed reset and the last error.
+func TestBudgetResetFailuresAreCounted(t *testing.T) {
+	refused := errors.New("rack PDU unreachable")
+	met := NewMetrics(metrics.NewRegistry())
+	op, err := New(Config{
+		Topology:      testTopo(t),
+		MarketOptions: core.Options{PriceStep: 0.001},
+		Metrics:       met,
+		Emergency: &ResponderConfig{
+			RecoverySlots: 2,
+			SetBudget:     func(int, float64) error { return refused },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, last := op.HookFailures(); n != 0 || last != nil {
+		t.Fatalf("fresh operator reports %d failures (%v)", n, last)
+	}
+	overloaded := power.Reading{
+		RackWatts:     []float64{220, 180, 130, 110},
+		OtherPDUWatts: []float64{395, 180}, // PDU#1 load 795 > 750.75
+	}
+	op.ObserveEmergencies(overloaded, 0.05)
+	if op.EmergenciesActed() != 1 {
+		t.Fatalf("EmergenciesActed = %d, want 1: a failing hook stopped the responder", op.EmergenciesActed())
+	}
+	targets := len(op.LastReclaims()[0].Targets)
+	n, last := op.HookFailures()
+	if n != targets || !errors.Is(last, refused) {
+		t.Errorf("HookFailures = %d, %v; want %d, %v", n, last, targets, refused)
+	}
+	if got := met.resetFailures.Value(); got != uint64(targets) {
+		t.Errorf("spotdc_operator_budget_reset_failures_total = %d, want %d", got, targets)
 	}
 }

@@ -34,10 +34,12 @@ type Metrics struct {
 
 	// Emergency-responder instrumentation (emergency.go): excursions acted
 	// on, watts reclaimed via budget resets, resets that invaded guaranteed
-	// capacity, and the suspension-to-recovery duration in slots.
+	// capacity, resets the SetBudget hook failed to apply, and the
+	// suspension-to-recovery duration in slots.
 	emergenciesActed *metrics.Counter
 	reclaimedWatts   *metrics.Gauge // cumulative W, monotone (Add only)
 	involuntaryCuts  *metrics.Counter
+	resetFailures    *metrics.Counter
 	timeToSafe       *metrics.Histogram
 
 	predictedVec *metrics.GaugeVec
@@ -75,6 +77,8 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 			"Cumulative watts of rack-budget cuts issued by the emergency responder (spot plus escalated guaranteed)."),
 		involuntaryCuts: r.Counter("spotdc_operator_involuntary_cuts_total",
 			"Budget resets that curtailed a rack below its guaranteed capacity (escalation only — zero means guaranteed tenants were never touched)."),
+		resetFailures: r.Counter("spotdc_operator_budget_reset_failures_total",
+			"Rack budget resets the SetBudget hook returned an error for; the responder carries on with the rest of the plan."),
 		timeToSafe: r.Histogram("spotdc_operator_emergency_recovery_slots",
 			"Slots from the start of an element's spot-sale suspension until readings stayed healthy and budgets were restored.",
 			metrics.ExpBuckets(1, 2, 10)),

@@ -23,6 +23,10 @@ import (
 // the slot degrades to the no-spot default instead (Section III-C).
 var ErrReading = errors.New("operator: invalid power reading")
 
+// ErrUnreconciled reports books that do not add up: the tenants' payments
+// plus unattributed revenue differ from cumulative spot revenue.
+var ErrUnreconciled = errors.New("operator: accounts do not reconcile")
+
 // ErrPricing reports an invalid pricing configuration.
 var ErrPricing = errors.New("operator: invalid pricing")
 
@@ -136,9 +140,12 @@ type Operator struct {
 	rackBuf    []int
 	spotUsers  map[int]bool
 	pduSoldBuf []float64
-	// commitPayments and commitResponder back the SlotCommit that
-	// LastSlotCommit lends out (state.go).
-	commitPayments  []PaymentDelta
+	// slotPayments holds the last cleared slot's settlement, one row per
+	// tenant in order of first grant (slotRow maps a tenant to its row);
+	// it and commitResponder back the SlotCommit that LastSlotCommit lends
+	// out (state.go).
+	slotPayments    []PaymentDelta
+	slotRow         map[string]int
 	commitResponder ResponderCheckpoint
 
 	// responder is non-nil only when Config.Emergency enables the
@@ -409,26 +416,7 @@ func (op *Operator) RunSlot(bids []core.Bid, reading power.Reading, slotHours fl
 			}
 		}
 	}
-	for _, a := range res.Allocations {
-		if a.Watts <= 0 {
-			continue
-		}
-		paid := res.Price * a.Watts / 1000 * slotHours
-		if a.Tenant == "" {
-			// Grants to anonymous bids still earn revenue; booking them
-			// explicitly keeps the per-tenant ledger reconcilable against
-			// SpotRevenue (previously this money silently vanished from the
-			// payment books).
-			op.unattributed.Add(paid)
-			continue
-		}
-		acc := op.payments[a.Tenant]
-		if acc == nil {
-			acc = &stats.Neumaier{}
-			op.payments[a.Tenant] = acc
-		}
-		acc.Add(paid)
-	}
+	op.settle(res, slotHours)
 	as.SetFloat("revenue", slotRevenue)
 	as.End()
 	if op.met != nil {
@@ -442,6 +430,56 @@ func (op *Operator) RunSlot(bids []core.Bid, reading power.Reading, slotHours fl
 			op.predict.UnderPredictionFactor, time.Since(slotStart))
 	}
 	return SlotOutcome{Spot: spot, Result: res, RevenueThisSlot: slotRevenue, ClearDuration: clearDur}, nil
+}
+
+// settle bills the slot's grants at the clearing price: each tenant's
+// price × grant × slotHours summed into one row (anonymous grants into the
+// unattributed row, tenant ""), then each row folded into its account with
+// one Add. The rows stay in op.slotPayments for LastSlotCommit, so the WAL
+// replays exactly the Adds made here.
+func (op *Operator) settle(res core.Result, slotHours float64) {
+	if op.slotRow == nil {
+		op.slotRow = make(map[string]int)
+	}
+	clear(op.slotRow)
+	rows := op.slotPayments[:0]
+	for _, a := range res.Allocations {
+		if a.Watts <= 0 {
+			continue
+		}
+		// A tenant's racks are usually adjacent in allocation order, so the
+		// previous row is checked before the map.
+		i := len(rows) - 1
+		if i < 0 || rows[i].Tenant != a.Tenant {
+			var ok bool
+			if i, ok = op.slotRow[a.Tenant]; !ok {
+				i = len(rows)
+				op.slotRow[a.Tenant] = i
+				rows = append(rows, PaymentDelta{Tenant: a.Tenant})
+			}
+		}
+		rows[i].Amount += res.Price * a.Watts / 1000 * slotHours
+	}
+	op.slotPayments = rows
+	for _, p := range rows {
+		op.book(p)
+	}
+}
+
+// book folds one payment row into its account. Grants to anonymous bids
+// still earn revenue; booking them under the unattributed account keeps
+// the per-tenant books reconcilable against SpotRevenue.
+func (op *Operator) book(p PaymentDelta) {
+	if p.Tenant == "" {
+		op.unattributed.Add(p.Amount)
+		return
+	}
+	acc := op.payments[p.Tenant]
+	if acc == nil {
+		acc = &stats.Neumaier{}
+		op.payments[p.Tenant] = acc
+	}
+	acc.Add(p.Amount)
 }
 
 // MaxPerfSlot runs the MaxPerf baseline for one slot under the same
@@ -537,8 +575,8 @@ func (op *Operator) ReconcileAccounts() error {
 	paid.Add(op.unattributed.Sum())
 	rev := op.spotRevenue.Sum()
 	if d := math.Abs(paid.Sum() - rev); d > 1e-9*(1+math.Abs(rev)) {
-		return fmt.Errorf("operator: payments %.12g $ (incl. %.12g unattributed) != spot revenue %.12g $ (Δ %g)",
-			paid.Sum(), op.unattributed.Sum(), rev, d)
+		return fmt.Errorf("%w: payments %.12g $ (incl. %.12g unattributed) != spot revenue %.12g $ (Δ %g)",
+			ErrUnreconciled, paid.Sum(), op.unattributed.Sum(), rev, d)
 	}
 	return nil
 }

@@ -149,6 +149,62 @@ func TestRunSlotBillsAndAccumulates(t *testing.T) {
 	}
 }
 
+// TestRunSlotSettlesOneRowPerTenant: a tenant bidding on several racks is
+// billed with one payment row for the slot — the sum of its grants at the
+// clearing price — anonymous grants share the unattributed row, rows come
+// in order of first grant, and the accounts hold exactly those rows.
+func TestRunSlotSettlesOneRowPerTenant(t *testing.T) {
+	op := newOp(t)
+	reading := power.Reading{
+		RackWatts:     []float64{130, 110, 130, 110},
+		OtherPDUWatts: []float64{180, 180},
+	}
+	fn := core.LinearBid{DMax: 40, DMin: 5, QMin: 0.02, QMax: 0.5}
+	bids := []core.Bid{
+		{Rack: 0, Tenant: "Search-1", Fn: fn},
+		{Rack: 1, Fn: fn},
+		{Rack: 2, Tenant: "Search-1", Fn: fn},
+		{Rack: 3, Fn: fn},
+	}
+	const slotHours = 2.0 / 60
+	out, err := op.RunSlot(bids, reading, slotHours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	var order []string
+	grants := 0
+	for _, a := range out.Result.Allocations {
+		if a.Watts <= 0 {
+			continue
+		}
+		grants++
+		if _, seen := want[a.Tenant]; !seen {
+			order = append(order, a.Tenant)
+		}
+		want[a.Tenant] += out.Result.Price * a.Watts / 1000 * slotHours
+	}
+	if len(order) != 2 || grants != 4 {
+		t.Fatalf("fixture granted %d racks to %d payers, want 4 to Search-1 and anonymous: %+v", grants, len(order), out.Result.Allocations)
+	}
+	rows := op.LastSlotCommit(out, slotHours).Payments
+	if len(rows) != len(order) {
+		t.Fatalf("commit carries %d payment rows for %d payers: %+v", len(rows), len(order), rows)
+	}
+	for i, r := range rows {
+		if r.Tenant != order[i] || r.Amount != want[r.Tenant] {
+			t.Errorf("row %d = %+v, want {%s %v}", i, r, order[i], want[order[i]])
+		}
+	}
+	if op.PaymentOf("Search-1") != want["Search-1"] || op.UnattributedRevenue() != want[""] {
+		t.Errorf("accounts hold %v / %v, rows %v / %v",
+			op.PaymentOf("Search-1"), op.UnattributedRevenue(), want["Search-1"], want[""])
+	}
+	if err := op.ReconcileAccounts(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRunSlotRespectsPrediction(t *testing.T) {
 	// With a 50% under-prediction factor the operator offers half the spot
 	// and sells no more than that.

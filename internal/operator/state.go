@@ -6,7 +6,7 @@
 // and kWh terms RunSlot folded in, in the original order. A crash restored
 // from checkpoint N and replayed through slot K therefore reaches totals
 // bit-identical to an uninterrupted run — which is what lets the crash
-// harness diff invoices with ==, not a tolerance.
+// harness compare final checkpoints with DeepEqual, not a tolerance.
 package operator
 
 import (
@@ -82,8 +82,9 @@ type Checkpoint struct {
 	Responder *ResponderCheckpoint `json:"responder,omitempty"`
 }
 
-// PaymentDelta is one slot's billing line: the exact $ a RunSlot Add folded
-// into a tenant's accumulator. An empty tenant names the unattributed book.
+// PaymentDelta is one slot's payment row for one tenant: the exact $ RunSlot
+// folded into the tenant's account with a single Add. An empty tenant names
+// the unattributed book.
 type PaymentDelta struct {
 	Tenant string  `json:"tenant,omitempty"`
 	Amount float64 `json:"amount"`
@@ -92,13 +93,15 @@ type PaymentDelta struct {
 // SlotCommit is the WAL record for one committed slot: the accumulator
 // deltas (replayed as Adds, preserving compensation), the post-slot
 // absolute counters, the slot's predicted spot (restoring LastSpot), and
-// the responder's post-slot state. Payment deltas appear in allocation
-// order — the order RunSlot billed them — because compensated summation is
-// order-sensitive.
+// the responder's post-slot state. Payments carry one row per tenant that
+// was granted capacity, in the order RunSlot booked them (compensated
+// summation is order-sensitive), so a record's size grows with tenants, not
+// racks.
 //
 // A SlotCommit returned by LastSlotCommit or filled by UnmarshalBinary
-// borrows its slices (and Responder) from scratch that the next such call
-// overwrites: encode or apply it before the next slot, and copy anything
+// borrows its slices (and Responder) from scratch that the next such call,
+// or the next RunSlot, overwrites: encode or apply it before the next slot,
+// and copy anything
 // kept longer. Both consumers do — the WAL writer serializes before it
 // returns, ApplySlotCommit copies what it keeps.
 type SlotCommit struct {
@@ -223,13 +226,13 @@ func (op *Operator) Restore(cp Checkpoint) error {
 }
 
 // LastSlotCommit builds the WAL record for the slot that produced out,
-// using the identical floating-point expressions RunSlot billed with so a
-// replayed Add reproduces the accumulation bit-for-bit. Call it after
-// RunSlot and (when the emergency loop runs) after ObserveEmergencies, so
-// the absolute counters and responder state are post-slot. The result
-// borrows out's spot slice and operator-owned scratch (see SlotCommit): it
-// is valid until the next LastSlotCommit, and building it allocates nothing
-// in steady state.
+// the most recent successful RunSlot: its payments are the rows RunSlot
+// settled, so a replayed Add reproduces the accumulation bit-for-bit. Call
+// it after RunSlot and (when the emergency loop runs) after
+// ObserveEmergencies, so the absolute counters and responder state are
+// post-slot. The result borrows out's spot slice and operator-owned
+// scratch (see SlotCommit): it is valid until the next RunSlot or
+// LastSlotCommit, and building it allocates nothing.
 func (op *Operator) LastSlotCommit(out SlotOutcome, slotHours float64) SlotCommit {
 	c := SlotCommit{
 		Revenue:        out.Result.RevenueRate * slotHours,
@@ -239,19 +242,8 @@ func (op *Operator) LastSlotCommit(out SlotOutcome, slotHours float64) SlotCommi
 		SpotPDU:        out.Spot.PDUWatts,
 		SpotUPS:        out.Spot.UPSWatts,
 	}
-	pays := op.commitPayments[:0]
-	for _, a := range out.Result.Allocations {
-		if a.Watts <= 0 {
-			continue
-		}
-		pays = append(pays, PaymentDelta{
-			Tenant: a.Tenant,
-			Amount: out.Result.Price * a.Watts / 1000 * slotHours,
-		})
-	}
-	op.commitPayments = pays
-	if len(pays) > 0 {
-		c.Payments = pays
+	if len(op.slotPayments) > 0 {
+		c.Payments = op.slotPayments
 	}
 	if op.responder != nil {
 		c.Responder = op.responder.checkpointInto(&op.commitResponder)
@@ -278,16 +270,7 @@ func (op *Operator) ApplySlotCommit(c SlotCommit) error {
 	op.spotRevenue.Add(c.Revenue)
 	op.spotEnergyKWh.Add(c.EnergyKWh)
 	for _, p := range c.Payments {
-		if p.Tenant == "" {
-			op.unattributed.Add(p.Amount)
-			continue
-		}
-		acc := op.payments[p.Tenant]
-		if acc == nil {
-			acc = &stats.Neumaier{}
-			op.payments[p.Tenant] = acc
-		}
-		acc.Add(p.Amount)
+		op.book(p)
 	}
 	op.slots = c.Slots
 	op.emergencySlots = c.EmergencySlots

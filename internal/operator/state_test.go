@@ -2,6 +2,7 @@ package operator
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -194,6 +195,31 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if got := em.Checkpoint().Responder; got.SuspendedPDU[0] || got.Acted != 0 {
 		t.Errorf("responder not reset by responder-less checkpoint: %+v", got)
+	}
+}
+
+// TestReconcileRefusesNudgedPayment: books restored from a checkpoint in
+// which one tenant's account was nudged by a cent no longer add up to the
+// spot revenue, and ReconcileAccounts says so by name.
+func TestReconcileRefusesNudgedPayment(t *testing.T) {
+	a := newOp(t)
+	for i := 0; i < 6; i++ {
+		driveSlot(t, a, i, false)
+	}
+	if err := a.ReconcileAccounts(); err != nil {
+		t.Fatalf("honest books: %v", err)
+	}
+	cp := a.Checkpoint()
+	if len(cp.Payments) == 0 {
+		t.Fatal("fixture billed no tenant")
+	}
+	cp.Payments[0].Paid.Sum += 0.01
+	b := newOp(t)
+	if err := b.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ReconcileAccounts(); !errors.Is(err, ErrUnreconciled) {
+		t.Fatalf("nudged %s account: err = %v, want ErrUnreconciled", cp.Payments[0].Tenant, err)
 	}
 }
 

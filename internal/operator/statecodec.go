@@ -1,9 +1,11 @@
 // Binary encoding of the durable operator state (DESIGN §4h): what the WAL
 // stores for a slot (SlotCommit) and for a snapshot (Checkpoint). Built on
 // the internal/binenc primitives: big-endian scalars, float64s as IEEE-754
-// bits — so the Neumaier (sum, comp) pairs, payment deltas and grant
+// bits — so the Neumaier (sum, comp) pairs, payment rows and grant
 // weights replay bit-identically without leaning on decimal formatting —
-// count-prefixed sections, and tenant names written once per record.
+// count-prefixed sections, and tenant names written once per record. Both
+// records carry one payment row per tenant: a slot's rows are what each
+// tenant paid in that slot, a checkpoint's its cumulative account.
 //
 //	SlotCommit v1                          Checkpoint v1
 //	u8   version (1)                       u8   version (1)
@@ -14,7 +16,7 @@
 //	f64s spot_pdu                               (sum, comp), last_spot_ups
 //	strs tenant names                      f64s last_spot_pdu
 //	u32  n; n × (u32 name index,           u32  n; n × (str tenant,
-//	          f64 amount)                            f64 sum, f64 comp)
+//	          f64 amount), one per tenant            f64 sum, f64 comp)
 //	[responder]                            [responder]
 //
 //	responder: u8 flags (bit0: suspended_ups); i64 calm_ups, start_ups,

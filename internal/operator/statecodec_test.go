@@ -76,9 +76,10 @@ func responder15k(racks int) *ResponderCheckpoint {
 }
 
 // TestSlotCommitBinaryRoundTrip15000Racks: a paper-scale commit — 15,000
-// payment deltas over many tenants, 15,000 grant weights, hostile float bit
-// patterns throughout — survives encode → decode bit for bit, through a
-// reused writer table and a reused decode target.
+// payment rows over many tenants (far more than RunSlot's one per tenant),
+// 15,000 grant weights, hostile float bit patterns throughout — survives
+// encode → decode bit for bit, through a reused writer table and a reused
+// decode target.
 func TestSlotCommitBinaryRoundTrip15000Racks(t *testing.T) {
 	const racks = 15000
 	c := SlotCommit{
@@ -237,8 +238,8 @@ func TestStateCodecRejectsHostileBytes(t *testing.T) {
 }
 
 // TestLastSlotCommitBorrowsScratch pins the lending rule documented on
-// SlotCommit: the commit is valid until the next LastSlotCommit, which
-// reuses its storage instead of allocating.
+// SlotCommit: the commit is valid until the next RunSlot or LastSlotCommit,
+// which reuse its storage instead of allocating.
 func TestLastSlotCommitBorrowsScratch(t *testing.T) {
 	op := newDurableEmergencyOp(t)
 	first := driveSlot(t, op, 0, true)

@@ -33,14 +33,16 @@ const (
 // owns the encoding of its own state, this file only frames it:
 //
 //	slot record                            snapshot
-//	u8   version (1)                       u8   version (1)
+//	u8   version (2)                       u8   version (2)
 //	u8   flags (bit0 degraded,             u8   flags (bit0 have_taken)
 //	            bit1 commit follows)       i64  taken
-//	i64  slot                              u32+bytes ExtraSnapshot (opaque)
-//	u32+bytes ExtraSlot (opaque)           operator.Checkpoint, to the end
+//	i64  slot                              operator.Checkpoint, to the end
 //	[operator.SlotCommit, to the end]
+//
+// The commit carries one payment row per tenant granted capacity in the
+// slot; the checkpoint one cumulative account per tenant.
 const (
-	durableVersion = 1
+	durableVersion = 2
 
 	slotFlagDegraded = 1 << 0
 	slotFlagCommit   = 1 << 1
@@ -48,9 +50,15 @@ const (
 )
 
 // errOlderVersion is the recovery error for state written before the
-// binary records.
-var errOlderVersion = errors.New("written by an older version of spotdc (JSON WAL payload); " +
-	"this build reads binary records only and keeps no compatibility decoder — start from a fresh state directory")
+// binary records; errOlderLayout for binary records of durable version 1,
+// which billed one payment row per grant and framed an opaque extra-state
+// field.
+var (
+	errOlderVersion = errors.New("written by an older version of spotdc (JSON WAL payload); " +
+		"this build reads binary records only and keeps no compatibility decoder — start from a fresh state directory")
+	errOlderLayout = errors.New("written by an older version of spotdc (durable record version 1); " +
+		"this build reads version 2 records only and keeps no compatibility decoder — start from a fresh state directory")
+)
 
 // defaultSnapshotEvery is how many committed slots elapse between automatic
 // snapshots when Durable.SnapshotEvery is zero.
@@ -66,21 +74,6 @@ type Durable struct {
 	// (default 64). Snapshots bound replay length and let the log drop
 	// fully-covered segments.
 	SnapshotEvery int
-	// ExtraSnapshot, if non-nil, contributes opaque extra state (e.g. a
-	// billing ledger) to every snapshot; RecoverDurable hands it back in
-	// Recovered.ExtraSnapshot. The hook keeps this package free of
-	// higher-layer imports (billing imports proto's consumers, not vice
-	// versa).
-	ExtraSnapshot func() ([]byte, error)
-	// ExtraSlot, if non-nil, contributes opaque extra state to every slot
-	// record (e.g. harness-side device budgets); RecoverDurable returns the
-	// replayed values in order in Recovered.ExtraSlots.
-	ExtraSlot func(slot int) ([]byte, error)
-	// OnCommit, if non-nil, runs right before a cleared slot's record is
-	// built: the hook higher layers use to fold the slot into their own
-	// state (e.g. a billing ledger) so the subsequent ExtraSlot capture
-	// already includes it. Degraded slots do not fire it.
-	OnCommit func(slot int, out operator.SlotOutcome)
 
 	sinceSnapshot int
 	// buf and names are the record encoder's scratch: every slot record is
@@ -103,10 +96,10 @@ func (d *Durable) validate() error {
 // log's sync policy. WAL failures must never stop the market (availability
 // over durability — the operator keeps clearing on a full disk), and must
 // never be silent either: whatever keeps a record from being built or
-// appended — an ExtraSlot hook, a name too long to encode, a payload over
-// wal.MaxRecord, an I/O error — lands in the log's sticky error, which ends
-// the log at the last complete slot and is surfaced by Log.Err() at
-// shutdown. A nil commit records a degraded slot.
+// appended — a name too long to encode, a payload over wal.MaxRecord, an
+// I/O error — lands in the log's sticky error, which ends the log at the
+// last complete slot and is surfaced by Log.Err() at shutdown. A nil
+// commit records a degraded slot.
 func (d *Durable) commitSlot(op *operator.Operator, srv *Server, slot int, commit *operator.SlotCommit) {
 	data, err := d.encodeSlot(slot, commit)
 	if err != nil {
@@ -136,14 +129,8 @@ func (d *Durable) encodeSlot(slot int, commit *operator.SlotCommit) ([]byte, err
 	}
 	b := append(d.buf[:0], durableVersion, flags)
 	b = binenc.AppendInt(b, slot)
-	var extra []byte
 	var err error
-	if d.ExtraSlot != nil {
-		if extra, err = d.ExtraSlot(slot); err != nil {
-			return nil, fmt.Errorf("proto: slot %d record: extra state: %w", slot, err)
-		}
-	}
-	if b, err = binenc.AppendBytes(b, extra); err == nil && commit != nil {
+	if commit != nil {
 		b, err = commit.AppendBinary(b, &d.names)
 	}
 	d.buf = b[:0] // keep the grown scratch
@@ -166,18 +153,8 @@ func (d *Durable) snapshot(op *operator.Operator, srv *Server) {
 	}
 	b := append(d.buf[:0], durableVersion, flags)
 	b = binenc.AppendInt(b, taken)
-	var extra []byte
-	var err error
-	if d.ExtraSnapshot != nil {
-		if extra, err = d.ExtraSnapshot(); err != nil {
-			d.Log.Fail(fmt.Errorf("proto: snapshot: extra state: %w", err))
-			return
-		}
-	}
-	if b, err = binenc.AppendBytes(b, extra); err == nil {
-		cp := op.Checkpoint()
-		b, err = cp.AppendBinary(b)
-	}
+	cp := op.Checkpoint()
+	b, err := cp.AppendBinary(b)
 	d.buf = b[:0]
 	if err != nil {
 		d.Log.Fail(fmt.Errorf("proto: snapshot: %w", err))
@@ -187,13 +164,12 @@ func (d *Durable) snapshot(op *operator.Operator, srv *Server) {
 }
 
 // slotRecord is one decoded slot record. Commit is nil for a degraded
-// slot; Commit and Extra borrow from the decoder's scratch and the record
+// slot; otherwise it borrows from the decoder's scratch and the record
 // bytes.
 type slotRecord struct {
 	Slot     int
 	Degraded bool
 	Commit   *operator.SlotCommit
-	Extra    []byte
 }
 
 // decodeSlotRecord decodes a walTypeSlot payload, filling into (reused
@@ -212,9 +188,6 @@ func decodeSlotRecord(data []byte, into *operator.SlotCommit) (slotRecord, error
 	if rec.Slot, err = r.Int(); err != nil {
 		return rec, err
 	}
-	if rec.Extra, err = r.Bytes32(); err != nil {
-		return rec, err
-	}
 	if rec.Degraded {
 		return rec, r.End()
 	}
@@ -223,10 +196,16 @@ func decodeSlotRecord(data []byte, into *operator.SlotCommit) (slotRecord, error
 }
 
 // readDurableHeader reads the version and flags bytes both payloads open
-// with; a payload that opens with '{' is an earlier build's JSON.
+// with; a payload that opens with '{' is an earlier build's JSON, one that
+// opens with an earlier version byte an earlier build's binary layout.
 func readDurableHeader(r *binenc.Reader, knownFlags byte) (flags byte, err error) {
-	if r.Len() > 0 && r.B[r.Off] == '{' {
-		return 0, errOlderVersion
+	if r.Len() > 0 {
+		switch v := r.B[r.Off]; {
+		case v == '{':
+			return 0, errOlderVersion
+		case v > 0 && v < durableVersion:
+			return 0, errOlderLayout
+		}
 	}
 	return r.VersionFlags(durableVersion, knownFlags)
 }
@@ -244,10 +223,6 @@ type Recovered struct {
 	HadSnapshot bool
 	// Truncations echoes the WAL's torn-tail repairs (wal.Recovery).
 	Truncations int
-	// ExtraSnapshot is the opaque extra state from the recovered snapshot
-	// (nil without one); ExtraSlots are the per-slot extras in replay order.
-	ExtraSnapshot []byte
-	ExtraSlots    [][]byte
 }
 
 // RecoverDurable rebuilds market state from a WAL recovery: the snapshot
@@ -269,10 +244,6 @@ func RecoverDurable(rec *wal.Recovery, op *operator.Operator, srv *Server) (*Rec
 		if err != nil {
 			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
 		}
-		extra, err := r.Bytes32()
-		if err != nil {
-			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
-		}
 		var cp operator.Checkpoint
 		if err := cp.UnmarshalBinary(r.B[r.Off:]); err != nil {
 			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
@@ -281,9 +252,6 @@ func RecoverDurable(rec *wal.Recovery, op *operator.Operator, srv *Server) (*Rec
 			return nil, err
 		}
 		out.HadSnapshot = true
-		if len(extra) > 0 {
-			out.ExtraSnapshot = extra
-		}
 		if flags&snapFlagTaken != 0 {
 			out.NextSlot = taken + 1
 		}
@@ -306,9 +274,6 @@ func RecoverDurable(rec *wal.Recovery, op *operator.Operator, srv *Server) (*Rec
 			return nil, fmt.Errorf("proto: slot record %d: %w", sr.Slot, err)
 		}
 		out.SlotsReplayed++
-		if len(sr.Extra) > 0 {
-			out.ExtraSlots = append(out.ExtraSlots, sr.Extra)
-		}
 		if sr.Slot+1 > out.NextSlot {
 			out.NextSlot = sr.Slot + 1
 		}

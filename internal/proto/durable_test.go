@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -124,65 +123,6 @@ func TestDurableSnapshotBoundsReplay(t *testing.T) {
 	}
 	if op2.SpotRevenue() != op.SpotRevenue() || op2.Slots() != 25 {
 		t.Fatal("snapshot+replay books differ from live run")
-	}
-}
-
-func TestDurableExtrasRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	srv, op, topo := loopFixture(t)
-	log, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEverySlot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecoverDurable(rec, op, srv); err != nil {
-		t.Fatal(err)
-	}
-	clock, err := NewSlotClock(time.Now().Add(20*time.Millisecond), 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loop := MarketLoop{
-		Server:   srv,
-		Operator: op,
-		Clock:    clock,
-		Reading:  durableReading,
-		RackID:   func(r int) string { return topo.Racks[r].ID },
-		Durable: &Durable{
-			Log:           log,
-			SnapshotEvery: 4,
-			ExtraSnapshot: func() ([]byte, error) { return json.Marshal("ledger-state") },
-			ExtraSlot:     func(slot int) ([]byte, error) { return json.Marshal(slot * 10) },
-		},
-	}
-	if _, err := loop.RunSlots(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
-
-	_, rec2, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEverySlot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2, err := operator.New(operator.Config{Topology: topo, MarketOptions: op.MarketOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := RecoverDurable(rec2, op2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapExtra string
-	if err := json.Unmarshal(recovered.ExtraSnapshot, &snapExtra); err != nil || snapExtra != "ledger-state" {
-		t.Fatalf("snapshot extra = %q (%v)", recovered.ExtraSnapshot, err)
-	}
-	// Snapshot after slot 7 (8 commits with SnapshotEvery=4 → snapshots at
-	// slots 3 and 7); slots 8 and 9 replay with their extras.
-	if len(recovered.ExtraSlots) != 2 {
-		t.Fatalf("replayed %d slot extras, want 2", len(recovered.ExtraSlots))
-	}
-	var v int
-	if err := json.Unmarshal(recovered.ExtraSlots[1], &v); err != nil || v != 90 {
-		t.Fatalf("last slot extra = %s (%v)", recovered.ExtraSlots[1], err)
 	}
 }
 

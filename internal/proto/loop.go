@@ -473,9 +473,6 @@ func (l *MarketLoop) RunSlots(fromSlot, slots int) (int, error) {
 			// state hit the WAL before any tenant hears the outcome, so a
 			// crash on either side of the broadcast recovers consistently.
 			ws := l.Tracer.StartChild("wal_commit", root)
-			if l.Durable.OnCommit != nil {
-				l.Durable.OnCommit(slot, out)
-			}
 			commit := l.Operator.LastSlotCommit(out, slotHours)
 			l.Durable.commitSlot(l.Operator, l.Server, slot, &commit)
 			ws.End()

@@ -8,8 +8,8 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
+	"spotdc/internal/binenc"
 	"spotdc/internal/core"
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
@@ -103,8 +103,10 @@ func TestSlotRecordAllocBudget(t *testing.T) {
 		if a := testing.AllocsPerRun(10, encode); a != 0 {
 			t.Errorf("LastSlotCommit + encodeSlot: %.1f allocs/op, want 0", a)
 		}
-		if size < 15000*16 || size > 15000*24 {
-			t.Errorf("slot record is %d bytes; expected ≈ 20 B/rack", size)
+		// 8 B/rack of responder grant weights; the payments are one row
+		// per tenant, two here.
+		if size < 15000*8 || size > 15000*9 {
+			t.Errorf("slot record is %d bytes; expected ≈ 8.5 B/rack", size)
 		}
 	})
 }
@@ -134,16 +136,10 @@ func sampleCommit() *operator.SlotCommit {
 	}
 }
 
-// TestSlotRecordRoundTrip: cleared, degraded and extra-carrying records
-// decode to what was encoded; the encoder's buffer is reused between them.
+// TestSlotRecordRoundTrip: cleared and degraded records decode to what was
+// encoded; the encoder's buffer is reused between them.
 func TestSlotRecordRoundTrip(t *testing.T) {
-	extra := []byte{0, 1, 2, '{', 0xff}
-	d := &Durable{ExtraSlot: func(slot int) ([]byte, error) {
-		if slot == 9 {
-			return extra, nil
-		}
-		return nil, nil
-	}}
+	d := &Durable{}
 	var into operator.SlotCommit
 	for _, tc := range []struct {
 		slot   int
@@ -159,9 +155,6 @@ func TestSlotRecordRoundTrip(t *testing.T) {
 		}
 		if rec.Slot != tc.slot || rec.Degraded != (tc.commit == nil) || (rec.Commit == nil) != (tc.commit == nil) {
 			t.Fatalf("slot %d decoded as %+v", tc.slot, rec)
-		}
-		if wantExtra := tc.slot == 9; wantExtra != bytes.Equal(rec.Extra, extra) || (!wantExtra && len(rec.Extra) != 0) {
-			t.Errorf("slot %d extra = %v", tc.slot, rec.Extra)
 		}
 		if tc.commit != nil {
 			again, err := rec.Commit.AppendBinary(nil, nil)
@@ -179,7 +172,7 @@ func TestSlotRecordRoundTrip(t *testing.T) {
 // trailing bytes are refused, and an accepted record re-encodes to the
 // bytes it came from.
 func FuzzSlotRecordDecode(f *testing.F) {
-	d := &Durable{ExtraSlot: func(int) ([]byte, error) { return []byte("extra"), nil }}
+	d := &Durable{}
 	for _, c := range []*operator.SlotCommit{sampleCommit(), nil, {}} {
 		data, err := d.encodeSlot(5, c)
 		if err != nil {
@@ -187,7 +180,7 @@ func FuzzSlotRecordDecode(f *testing.F) {
 		}
 		f.Add(append([]byte(nil), data...))
 	}
-	f.Add([]byte{durableVersion, slotFlagCommit, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // 4 GiB extra
+	f.Add([]byte{1, slotFlagCommit, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // version 1, refused by name
 	f.Add([]byte(`{"slot":3,"commit":{"revenue":1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var into operator.SlotCommit
@@ -205,8 +198,7 @@ func FuzzSlotRecordDecode(f *testing.F) {
 				t.Fatalf("decoded %d bytes of elements from %d bytes of input", n, len(data))
 			}
 		}
-		re := &Durable{ExtraSlot: func(int) ([]byte, error) { return rec.Extra, nil }}
-		again, err := re.encodeSlot(rec.Slot, rec.Commit)
+		again, err := (&Durable{}).encodeSlot(rec.Slot, rec.Commit)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
@@ -214,7 +206,7 @@ func FuzzSlotRecordDecode(f *testing.F) {
 		// entries by a foreign encoder, so compare by decoding again.
 		var into2 operator.SlotCommit
 		rec2, err := decodeSlotRecord(again, &into2)
-		if err != nil || rec2.Slot != rec.Slot || rec2.Degraded != rec.Degraded || !bytes.Equal(rec2.Extra, rec.Extra) {
+		if err != nil || rec2.Slot != rec.Slot || rec2.Degraded != rec.Degraded {
 			t.Fatalf("re-encoded record decodes differently: %+v vs %+v (%v)", rec2, rec, err)
 		}
 		if rec.Commit != nil {
@@ -245,10 +237,11 @@ func TestSlotRecordDecodeRejectsHostileBytes(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"empty":               {},
 		"bad-version":         with(good, 0, 7),
+		"older-layout":        with(good, 0, 1),
 		"unknown-flag":        with(good, 1, 0x42),
 		"degraded-and-commit": with(good, 1, slotFlagDegraded|slotFlagCommit),
 		"neither":             with(good, 1, 0),
-		"huge-extra":          with(good, 10, 0xff),
+		"bad-commit-version":  with(good, 10, 0xff),
 		"truncated-commit":    good[:len(good)-2],
 		"trailing-commit":     append(append([]byte(nil), good...), 0),
 		"trailing-degraded":   append(append([]byte(nil), degraded...), 0),
@@ -294,64 +287,131 @@ func TestRecoverRefusesOlderVersionState(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesVersion1State: a state directory written by the build
+// whose records carried one payment row per grant and an opaque extra-state
+// field (durable version 1) is refused by name, for slot records and
+// snapshots alike, before anything reaches the operator.
+func TestRecoverRefusesVersion1State(t *testing.T) {
+	_, op, _ := loopFixture(t)
+	// Version 1 framing: version, flags, slot or taken, then a u32-length
+	// extra field (empty here), then the operator's own encoding.
+	v1 := func(flags byte, n int, body []byte) []byte {
+		b := binenc.AppendInt([]byte{1, flags}, n)
+		return append(binenc.AppendU32(b, 0), body...)
+	}
+	commit, err := sampleCommit().AppendBinary(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := op.Checkpoint()
+	snap, err := cp.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	log, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(walTypeSlot, v1(slotFlagCommit, 0, commit)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverDurable(rec, op, nil); !errors.Is(err, errOlderLayout) {
+		t.Fatalf("version-1 slot record: err = %v, want errOlderLayout", err)
+	}
+	if _, err := RecoverDurable(&wal.Recovery{Snapshot: v1(snapFlagTaken, 2, snap)}, op, nil); !errors.Is(err, errOlderLayout) {
+		t.Fatalf("version-1 snapshot: err = %v, want errOlderLayout", err)
+	}
+	if op.Slots() != 0 {
+		t.Fatalf("refused recovery still touched the operator (%d slots)", op.Slots())
+	}
+}
+
 // TestCommitFailureIsStickyNotSilent is the regression for silent non-
 // durability: whatever keeps a slot record or a snapshot from being built
 // or appended must (a) never stop the market and (b) land in the log's
 // sticky error, so the operator learns at shutdown — and the wal.errors
-// check learns at once — that the books on disk end early. Before the fix
-// each of these was a bare return with Log.Err() left nil.
+// check learns at once — that the books on disk end early. Each case runs
+// the market loop's commit sequence (RunSlot, LastSlotCommit, commitSlot)
+// with one record made unwritable: a tenant name over binenc's u16 length
+// prefix, or a payload over wal.MaxRecord.
 func TestCommitFailureIsStickyNotSilent(t *testing.T) {
-	boom := errors.New("ledger unavailable")
+	tooLong := strings.Repeat("x", math.MaxUint16+1)
 	for _, tc := range []struct {
-		name    string
-		durable Durable
+		name string
+		// snapshotEvery is Durable.SnapshotEvery (0: no snapshot in 8 slots).
+		snapshotEvery int
+		// books, if set, is restored into the operator before slot 0.
+		books func() operator.Checkpoint
+		// tamper, if set, edits each slot's commit before it is written.
+		tamper func(slot int, c *operator.SlotCommit)
 		// committed is how many slot records must have reached the log
 		// before it failed.
 		committed int
 		want      string
 	}{
-		{name: "extra-slot-hook", committed: 3, want: boom.Error(), durable: Durable{
-			ExtraSlot: func(slot int) ([]byte, error) {
+		{name: "unencodable-slot-record", committed: 3, want: "tenant names",
+			tamper: func(slot int, c *operator.SlotCommit) {
 				if slot == 3 {
-					return nil, boom
+					c.Payments = []operator.PaymentDelta{{Tenant: tooLong, Amount: 1}}
 				}
-				return nil, nil
-			}}},
-		{name: "oversize-slot-payload", committed: 2, want: "exceeds", durable: Durable{
-			ExtraSlot: func(slot int) ([]byte, error) {
+			}},
+		{name: "oversize-slot-payload", committed: 2, want: "exceeds",
+			tamper: func(slot int, c *operator.SlotCommit) {
 				if slot == 2 {
-					return make([]byte, wal.MaxRecord), nil // + the record's own bytes
+					c.SpotPDU = make([]float64, wal.MaxRecord/8+1)
 				}
-				return nil, nil
-			}}},
-		{name: "extra-snapshot-hook", committed: 4, want: boom.Error(), durable: Durable{
-			SnapshotEvery: 4,
-			ExtraSnapshot: func() ([]byte, error) { return nil, boom }}},
-		{name: "oversize-snapshot", committed: 4, want: "exceeds", durable: Durable{
-			SnapshotEvery: 4,
-			ExtraSnapshot: func() ([]byte, error) { return make([]byte, wal.MaxRecord+1), nil }}},
+			}},
+		{name: "unencodable-snapshot", committed: 4, want: "checkpoint tenant name", snapshotEvery: 4,
+			books: func() operator.Checkpoint {
+				return operator.Checkpoint{Payments: []operator.TenantPayment{{Tenant: tooLong}}}
+			}},
+		{name: "oversize-snapshot", committed: 4, want: "exceeds", snapshotEvery: 4,
+			books: func() operator.Checkpoint {
+				// 256 accounts under maximal names: just over wal.MaxRecord.
+				var cp operator.Checkpoint
+				for i := 0; i < 256; i++ {
+					name := fmt.Sprintf("%03d", i) + tooLong[:math.MaxUint16-3]
+					cp.Payments = append(cp.Payments, operator.TenantPayment{Tenant: name})
+				}
+				return cp
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, op, topo := loopFixture(t)
+			_, op, _ := loopFixture(t)
+			if tc.books != nil {
+				if err := op.Restore(tc.books()); err != nil {
+					t.Fatal(err)
+				}
+			}
 			dir := t.TempDir()
 			log, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEverySlot})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clock, err := NewSlotClock(time.Now().Add(-time.Hour), 5*time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
+			d := &Durable{Log: log, SnapshotEvery: tc.snapshotEvery}
+			const slotHours = 5.0 / 3600
+			for slot := 0; slot < 8; slot++ {
+				out, err := op.RunSlot(nil, durableReading(slot), slotHours)
+				if err != nil {
+					t.Fatalf("slot %d: %v", slot, err)
+				}
+				commit := op.LastSlotCommit(out, slotHours)
+				if tc.tamper != nil {
+					tc.tamper(slot, &commit)
+				}
+				d.commitSlot(op, nil, slot, &commit)
 			}
-			d := tc.durable
-			d.Log = log
-			loop := MarketLoop{
-				Server: srv, Operator: op, Clock: clock, Reading: durableReading,
-				RackID:  func(r int) string { return topo.Racks[r].ID },
-				Durable: &d,
-			}
-			cleared, err := loop.RunSlots(0, 8)
-			if err != nil || cleared != 8 || loop.SlotErrors() != 0 {
-				t.Fatalf("the market stopped: cleared %d, errors %d, err %v", cleared, loop.SlotErrors(), err)
+			if op.Slots() != 8 {
+				t.Fatalf("the market stopped after %d slots", op.Slots())
 			}
 			if err := log.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Log.Err() = %v, want a sticky error mentioning %q", err, tc.want)

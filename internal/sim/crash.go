@@ -6,9 +6,11 @@
 // (wal.Log.Kill — no flush, no close), the server goes away, and a fresh
 // "process" (new operator, new server, new rack-PDU emulations, new tenant
 // sessions) recovers from the state directory and resumes. The harness
-// exists to prove the PR's durability claim end to end: a killed-and-
-// recovered run must produce invoices, responder state, and a journal
-// bit-identical to an uninterrupted run of the same seed.
+// exists to prove the durability claim end to end: a killed-and-recovered
+// run must produce books, responder state, and a journal bit-identical to
+// an uninterrupted run of the same seed. The emulated rack PDUs are devices,
+// not operator state: an operator crash does not reset them, so each
+// lifetime hands its PDUs' budgets to the next one directly.
 //
 // Determinism discipline: crash runs take no protocol faults (injectors
 // are seed-positional and cannot resume mid-schedule), the loop's
@@ -20,7 +22,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,7 +31,6 @@ import (
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
 	"spotdc/internal/proto"
-	"spotdc/internal/rackpdu"
 	"spotdc/internal/tenant"
 	"spotdc/internal/wal"
 )
@@ -48,7 +48,7 @@ type CrashKill struct {
 	TearTail bool
 }
 
-// CrashRunOptions configures the kill schedule and the durable plumbing.
+// CrashRunOptions configures the kill schedule and the durable state.
 type CrashRunOptions struct {
 	// StateDir is the WAL directory shared by every operator lifetime
 	// (required).
@@ -69,22 +69,6 @@ type CrashRunOptions struct {
 	// Kills is the schedule of operator deaths, strictly increasing by
 	// AfterSlot; each must leave at least one slot to run afterwards.
 	Kills []CrashKill
-
-	// The four caller-state hooks thread higher-layer durable state (e.g. a
-	// billing ledger) through the WAL without this package importing it.
-	// OnCommit folds a cleared slot into the caller's state right before
-	// the commit captures it; ExtraSlot/ExtraSnapshot serialize that state
-	// into slot records and snapshots; RestoreSnapshot/ReplaySlot rebuild
-	// it during recovery (snapshot first, then each replayed slot in
-	// order). All optional.
-	OnCommit        func(slot int, out operator.SlotOutcome)
-	ExtraSlot       func(slot int) ([]byte, error)
-	ExtraSnapshot   func() ([]byte, error)
-	RestoreSnapshot func(data []byte) error
-	ReplaySlot      func(data []byte) error
-	// OnRestart observes each recovery (restart = 1 for the first
-	// post-kill lifetime) after the restore hooks have run.
-	OnRestart func(restart int, rec *proto.Recovered)
 }
 
 // CrashResult summarizes a segmented run.
@@ -105,15 +89,6 @@ type CrashResult struct {
 	// uninterrupted run.
 	SpotRevenue float64
 	Checkpoint  operator.Checkpoint
-}
-
-// crashExtra is the sim-owned durable payload piggy-backed on every slot
-// record and snapshot: the emulated rack PDUs' power budgets (physical
-// state the next lifetime's readings depend on) plus the caller's opaque
-// state.
-type crashExtra struct {
-	Budgets []float64       `json:"budgets,omitempty"`
-	Caller  json.RawMessage `json:"caller,omitempty"`
 }
 
 func (c *CrashRunOptions) validate(sc Scenario, opts NetRunOptions) error {
@@ -205,6 +180,7 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 	expect := expectedBids(sc)
 	res := &CrashResult{}
 	resume := 0
+	var budgets []float64 // the rack PDUs' budgets as the last lifetime left them
 	for seg := 0; seg <= len(crash.Kills); seg++ {
 		var kill *CrashKill
 		end := sc.Slots
@@ -212,7 +188,8 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 			kill = &crash.Kills[seg]
 			end = kill.AfterSlot + 1
 		}
-		if err := runCrashSegment(sc, opts, crash, res, seg, resume, end, kill, expect); err != nil {
+		var err error
+		if budgets, err = runCrashSegment(sc, opts, crash, res, seg, resume, end, kill, expect, budgets); err != nil {
 			return nil, fmt.Errorf("sim: crash segment %d (slots %d..%d): %w", seg, resume, end-1, err)
 		}
 		resume = end
@@ -222,16 +199,27 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 }
 
 // runCrashSegment is one operator lifetime: recover from the state dir,
-// run slots [resume, end), then either shut down cleanly (final segment)
-// or die per the kill.
+// set the rack PDUs to the budgets the previous lifetime left them at (nil
+// for the first), run slots [resume, end), then either shut down cleanly
+// (final segment) or die per the kill. It returns the PDUs' budgets at exit.
 func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res *CrashResult,
-	seg, resume, end int, kill *CrashKill, expect []int) error {
+	seg, resume, end int, kill *CrashKill, expect []int, budgets []float64) ([]float64, error) {
 	p, err := newNetPlant(sc, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	op, srv, units := p.op, p.srv, p.units
 	defer srv.Close()
+	if budgets != nil {
+		if len(budgets) != len(units) {
+			return nil, fmt.Errorf("handed %d rack budgets for %d racks", len(budgets), len(units))
+		}
+		for i, b := range budgets {
+			if err := units[i].SetBudget(b); err != nil {
+				return nil, err
+			}
+		}
+	}
 
 	log, rec, err := wal.Open(wal.Options{
 		Dir:          crash.StateDir,
@@ -239,66 +227,18 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 		SegmentBytes: crash.SegmentBytes,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recovered, err := proto.RecoverDurable(rec, op, srv)
 	if err != nil {
 		log.Close()
-		return err
+		return nil, err
 	}
 	res.Truncations += recovered.Truncations
 	res.Replayed += recovered.SlotsReplayed
 	if recovered.NextSlot != resume {
 		log.Close()
-		return fmt.Errorf("recovered to slot %d, harness expected %d", recovered.NextSlot, resume)
-	}
-	// Rebuild the caller's state (snapshot, then replayed slots in order)
-	// and the rack PDUs' budgets (the newest capture wins — it is the
-	// physical state the next reading depends on).
-	var lastBudgets []float64
-	restoreExtra := func(raw []byte, snapshot bool) error {
-		if len(raw) == 0 {
-			return nil
-		}
-		var e crashExtra
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return fmt.Errorf("corrupt harness extra: %w", err)
-		}
-		if e.Budgets != nil {
-			lastBudgets = e.Budgets
-		}
-		if snapshot && crash.RestoreSnapshot != nil && e.Caller != nil {
-			return crash.RestoreSnapshot(e.Caller)
-		}
-		if !snapshot && crash.ReplaySlot != nil && e.Caller != nil {
-			return crash.ReplaySlot(e.Caller)
-		}
-		return nil
-	}
-	if err := restoreExtra(recovered.ExtraSnapshot, true); err != nil {
-		log.Close()
-		return err
-	}
-	for _, raw := range recovered.ExtraSlots {
-		if err := restoreExtra(raw, false); err != nil {
-			log.Close()
-			return err
-		}
-	}
-	if units != nil && lastBudgets != nil {
-		if len(lastBudgets) != len(units) {
-			log.Close()
-			return fmt.Errorf("recovered %d rack budgets for %d racks", len(lastBudgets), len(units))
-		}
-		for i, b := range lastBudgets {
-			if err := units[i].SetBudget(b); err != nil {
-				log.Close()
-				return err
-			}
-		}
-	}
-	if seg > 0 && crash.OnRestart != nil {
-		crash.OnRestart(seg, recovered)
+		return nil, fmt.Errorf("recovered to slot %d, harness expected %d", recovered.NextSlot, resume)
 	}
 
 	// The journal survives the crash as a plain append-only file; recovered
@@ -314,7 +254,7 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 		jf, err := os.OpenFile(crash.JournalPath, flags, 0o644)
 		if err != nil {
 			log.Close()
-			return err
+			return nil, err
 		}
 		defer jf.Close()
 		journal = metrics.NewJournalOpts(jf, metrics.JournalOptions{
@@ -327,7 +267,7 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 		time.Now().Add(2*opts.SlotLen).Add(-time.Duration(resume)*opts.SlotLen), opts.SlotLen)
 	if err != nil {
 		log.Close()
-		return err
+		return nil, err
 	}
 
 	// The plant's loop (seeded reference reading, feasibility re-check,
@@ -336,27 +276,7 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 	slotLen := opts.SlotLen
 	loop := p.marketLoop(clock)
 	loop.Journal = journal
-	loop.Durable = &proto.Durable{
-		Log:           log,
-		SnapshotEvery: crash.SnapshotEvery,
-		OnCommit:      crash.OnCommit,
-		ExtraSlot: func(slot int) ([]byte, error) {
-			return marshalCrashExtra(units, func() ([]byte, error) {
-				if crash.ExtraSlot == nil {
-					return nil, nil
-				}
-				return crash.ExtraSlot(slot)
-			})
-		},
-		ExtraSnapshot: func() ([]byte, error) {
-			return marshalCrashExtra(units, func() ([]byte, error) {
-				if crash.ExtraSnapshot == nil {
-					return nil, nil
-				}
-				return crash.ExtraSnapshot()
-			})
-		},
-	}
+	loop.Durable = &proto.Durable{Log: log, SnapshotEvery: crash.SnapshotEvery}
 	// Bid-arrival barrier: every run, interrupted or not, must drain the
 	// same bid set per slot. Bounded by a quarter slot so a dead tenant
 	// cannot stall the market.
@@ -372,7 +292,7 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 	wait()
 	if runErr != nil {
 		log.Close()
-		return runErr
+		return nil, runErr
 	}
 	res.Cleared += cleared
 	res.SlotErrors += loop.SlotErrors()
@@ -381,45 +301,34 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 	if kill != nil {
 		// Die: yank the WAL's descriptors without flushing, optionally
 		// leave a torn record behind. The journal file closes via defer —
-		// a plain fd close loses nothing already written.
+		// a plain fd close loses nothing already written. The rack PDUs
+		// outlive the operator and keep their budgets.
 		srv.Close()
 		log.Kill()
-		if kill.TearTail {
-			return tearWALTail(crash.StateDir)
+		if units != nil {
+			budgets = make([]float64, len(units))
+			for i, u := range units {
+				budgets[i] = u.Budget()
+			}
 		}
-		return nil
+		if kill.TearTail {
+			return budgets, tearWALTail(crash.StateDir)
+		}
+		return budgets, nil
 	}
 	// Final lifetime: orderly shutdown, then surface the books.
 	if err := log.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	if journal != nil {
 		if err := journal.Sync(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := p.audit(); err != nil {
-		return err
+		return nil, err
 	}
 	res.SpotRevenue = op.SpotRevenue()
 	res.Checkpoint = op.Checkpoint()
-	return nil
-}
-
-// marshalCrashExtra builds one slot/snapshot extra payload: current rack
-// PDU budgets (when armed) plus the caller's opaque state.
-func marshalCrashExtra(units []*rackpdu.PDU, caller func() ([]byte, error)) ([]byte, error) {
-	var e crashExtra
-	if units != nil {
-		e.Budgets = make([]float64, len(units))
-		for i, u := range units {
-			e.Budgets[i] = u.Budget()
-		}
-	}
-	raw, err := caller()
-	if err != nil {
-		return nil, err
-	}
-	e.Caller = raw
-	return json.Marshal(e)
+	return nil, nil
 }

@@ -70,8 +70,9 @@ func crashJournal(t *testing.T, path string) (*metrics.JournalHeader, []metrics.
 // randomized points (one leaving a torn WAL record, one mid-suspension)
 // and recovered from the state directory each time, must end with books,
 // responder state, and a slot journal bit-identical to the same scenario
-// run without interruption, and the journal must replay cleanly through
-// the offline auditor.
+// run without interruption — the tenants' accounts included, so they must
+// hold some spot payment — and the journal must replay cleanly through the
+// offline auditor.
 func TestCrashSmokeBitIdenticalRecovery(t *testing.T) {
 	const slots = 220
 	rng := rand.New(rand.NewSource(29))
@@ -146,6 +147,13 @@ func TestCrashSmokeBitIdenticalRecovery(t *testing.T) {
 	if !reflect.DeepEqual(golden.Checkpoint, crashed.Checkpoint) {
 		t.Errorf("final checkpoints diverge:\nuninterrupted %+v\ncrashed       %+v",
 			golden.Checkpoint, crashed.Checkpoint)
+	}
+	paid := false
+	for _, p := range crashed.Checkpoint.Payments {
+		paid = paid || p.Paid.Sum > 0
+	}
+	if !paid {
+		t.Errorf("no tenant paid for spot capacity — the comparison above is vacuous: %+v", crashed.Checkpoint.Payments)
 	}
 
 	// The journal: every slot present exactly once, bit-identical modulo
