@@ -1,8 +1,9 @@
 # SpotDC build/verify entry points.
 #
-#   make check          scripts/check.sh: build, vet, every test once under
-#                       the race detector (the smokes below included), fuzz
-#                       and benchmark smokes, the bench/ module, examples/
+#   make check          scripts/check.sh: build, vet, gofmt, every test once
+#                       under the race detector (the smokes below included),
+#                       fuzz and benchmark smokes, the bench/ module,
+#                       examples/
 #   make test           tier-1 verification only (build + tests)
 #   make smoke-faults   seeded fault-schedule smoke run: 220 networked slots
 #                       with bid loss, broadcast loss, severed connections

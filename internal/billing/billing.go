@@ -113,21 +113,3 @@ func (inv Invoice) Fprint(w io.Writer) error {
 	fmt.Fprintf(bw, "  %-48s %36s  $%10.6f  (spot: %.2f%%)\n", "TOTAL", "", inv.Total, 100*inv.SpotShare)
 	return bw.Flush()
 }
-
-// WriteCSV emits the invoices as a flat CSV (tenant, item, quantity, unit,
-// rate, amount).
-func WriteCSV(w io.Writer, invoices []Invoice) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "tenant,item,quantity,unit,rate,amount"); err != nil {
-		return err
-	}
-	for _, inv := range invoices {
-		for _, it := range inv.Items {
-			if _, err := fmt.Fprintf(bw, "%s,%q,%.6f,%s,%.6f,%.6f\n",
-				inv.Tenant, it.Description, it.Quantity, it.Unit, it.Rate, it.Amount); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -104,24 +104,6 @@ func TestInvoicesSortedAndPrintable(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	invs, err := FromSimResult(oneTenant("a", 0.5, sim.TenantStats{Reserved: 100, EnergyKWh: 0.045}), operator.DefaultPricing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, invs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 { // header + 3 items
-		t.Fatalf("lines = %d:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "tenant,item,quantity,unit,rate,amount" {
-		t.Errorf("header = %s", lines[0])
-	}
-}
-
 func TestFromSimResult(t *testing.T) {
 	sc, err := sim.Testbed(sim.TestbedOptions{Seed: 5, Slots: 800})
 	if err != nil {

@@ -34,7 +34,8 @@ func TestDegradedSlotBillsNoSpot(t *testing.T) {
 		t.Fatal(err)
 	}
 	billed := func() float64 {
-		total := op.UnattributedRevenue()
+		cp := op.Checkpoint()
+		total := cp.Unattributed.Restore().Sum()
 		for _, r := range topo.Racks {
 			total += op.PaymentOf(r.Tenant)
 		}
@@ -106,10 +107,11 @@ func TestDegradedSlotBillsNoSpot(t *testing.T) {
 	if len(prior.Payments) == 0 {
 		t.Fatal("test premise broken: the slot before the degraded one sold nothing")
 	}
+	cp := op.Checkpoint()
 	leak := operator.SlotCommit{
 		Payments: prior.Payments,
 		Slots:    op.Slots(), EmergencySlots: op.EmergencySlots(),
-		SpotPDU: op.LastSpot().PDUWatts, SpotUPS: op.LastSpot().UPSWatts,
+		SpotPDU: cp.LastSpotPDU, SpotUPS: cp.LastSpotUPS,
 	}
 	if err := op.ApplySlotCommit(leak); err != nil {
 		t.Fatal(err)

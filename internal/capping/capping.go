@@ -118,14 +118,19 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
+// The PI gains in knob-units per watt of error: kp is proportional, ki
+// integral (per tick).
+const (
+	kp = 0.002
+	ki = 0.0005
+)
+
 // Controller is a proportional-integral power-cap controller: each control
 // tick it observes the measured draw, compares it to the budget, and nudges
 // the actuator. The PI form tolerates model error between the assumed
 // ServerModel and the real draw.
 type Controller struct {
 	model ServerModel
-	// Kp and Ki are the PI gains in knob-units per watt of error.
-	kp, ki float64
 	// state
 	knob     float64
 	integral float64
@@ -142,10 +147,6 @@ type Controller struct {
 type Config struct {
 	// Model is the assumed plant.
 	Model ServerModel
-	// Kp is the proportional gain (default 0.002 knob/W).
-	Kp float64
-	// Ki is the integral gain (default 0.0005 knob/W·tick).
-	Ki float64
 	// InitialBudget is the starting power budget in watts.
 	InitialBudget float64
 }
@@ -155,32 +156,16 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Kp < 0 || cfg.Ki < 0 {
-		return nil, fmt.Errorf("%w: negative gains", ErrController)
-	}
 	if cfg.InitialBudget < 0 {
 		return nil, fmt.Errorf("%w: negative budget", ErrController)
 	}
-	kp := cfg.Kp
-	if kp == 0 {
-		kp = 0.002
-	}
-	ki := cfg.Ki
-	if ki == 0 {
-		ki = 0.0005
-	}
 	return &Controller{
 		model:    cfg.Model.Normalized(),
-		kp:       kp,
-		ki:       ki,
 		knob:     1,
 		budget:   cfg.InitialBudget,
 		lastUtil: 1,
 	}, nil
 }
-
-// Model returns the controller's plant model with defaults normalized.
-func (c *Controller) Model() ServerModel { return c.model }
 
 // SetBudget updates the tracked power budget — called at every slot
 // boundary with guaranteed + granted spot capacity. The integrator resets
@@ -202,9 +187,6 @@ func (c *Controller) SetBudget(watts float64) error {
 	return nil
 }
 
-// Budget returns the tracked budget.
-func (c *Controller) Budget() float64 { return c.budget }
-
 // Knob returns the current actuator setting.
 func (c *Controller) Knob() float64 { return c.knob }
 
@@ -217,9 +199,9 @@ func (c *Controller) Tick(measuredWatts, util float64) float64 {
 	c.integral += err
 	// Anti-windup: bound the integral's contribution to a full knob swing,
 	// i.e. |ki·integral| ≤ 1.
-	maxI := 1 / c.ki
+	maxI := 1 / ki
 	c.integral = clamp(c.integral, -maxI, maxI)
-	c.knob = clamp(c.knob+c.kp*err+c.ki*c.integral, c.model.minKnob(), 1)
+	c.knob = clamp(c.knob+kp*err+ki*c.integral, c.model.minKnob(), 1)
 	// Feed-forward clamp: never command a knob the model predicts would
 	// overshoot the budget at current utilization.
 	if ff, ok := c.model.KnobFor(util, c.budget); ok && c.knob > ff {

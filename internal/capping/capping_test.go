@@ -90,9 +90,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Model: ServerModel{IdleWatts: 10, PeakWatts: 5}}); err == nil {
 		t.Error("bad model accepted")
 	}
-	if _, err := New(Config{Model: testModel(), Kp: -1}); err == nil {
-		t.Error("negative gain accepted")
-	}
 	if _, err := New(Config{Model: testModel(), InitialBudget: -1}); err == nil {
 		t.Error("negative budget accepted")
 	}
@@ -100,8 +97,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Knob() != 1 || c.Budget() != 145 {
-		t.Errorf("initial state: knob=%v budget=%v", c.Knob(), c.Budget())
+	if c.Knob() != 1 || c.budget != 145 {
+		t.Errorf("initial state: knob=%v budget=%v", c.Knob(), c.budget)
 	}
 }
 
@@ -202,7 +199,7 @@ func TestNormalizedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Model(); got != n {
+	if got := c.model; got != n {
 		t.Errorf("controller model = %+v, want normalized %+v", got, n)
 	}
 }
@@ -251,7 +248,7 @@ func TestTickIntegralGainMatchesAntiWindupClamp(t *testing.T) {
 	// Budget above peak: the feed-forward clamp resolves to knob 1 and
 	// stays out of the way; the knob move is pure PI arithmetic.
 	c.Tick(500, 1.0) // err = −200
-	want := clamp(1+c.kp*(-200)+c.ki*(-200), testModel().MinKnob, 1)
+	want := clamp(1+kp*(-200)+ki*(-200), testModel().MinKnob, 1)
 	if got := c.Knob(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("knob after one tick = %v, want %v (kp·err + ki·integral applied in full)", got, want)
 	}
@@ -260,7 +257,7 @@ func TestTickIntegralGainMatchesAntiWindupClamp(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Tick(500, 1.0)
 	}
-	if got := math.Abs(c.ki * c.integral); math.Abs(got-1) > 1e-12 {
+	if got := math.Abs(ki * c.integral); math.Abs(got-1) > 1e-12 {
 		t.Errorf("clamped integral contributes %v knob, want exactly 1 (full swing)", got)
 	}
 }
@@ -279,8 +276,8 @@ func TestControllerEliminatesSteadyStateModelError(t *testing.T) {
 	watts := m.Power(1.0, c.Knob()) + bias
 	for tick := 0; tick < 400; tick++ {
 		c.Tick(watts, 1.0)
-		if math.Abs(c.integral) > 1/c.ki+1e-9 {
-			t.Fatalf("tick %d: integral %v outside anti-windup bound ±%v", tick, c.integral, 1/c.ki)
+		if math.Abs(c.integral) > 1/ki+1e-9 {
+			t.Fatalf("tick %d: integral %v outside anti-windup bound ±%v", tick, c.integral, 1/ki)
 		}
 		watts = m.Power(1.0, c.Knob()) + bias
 	}

@@ -5,7 +5,6 @@
 package config
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -205,32 +204,4 @@ func Load(path string) (*Scenario, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// Write serializes the configuration with stable, indented formatting.
-func (c *Scenario) Write(w io.Writer) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(c); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// Save writes the configuration to a file.
-func (c *Scenario) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

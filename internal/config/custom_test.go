@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -156,11 +157,7 @@ func TestCustomThroughScenarioConfig(t *testing.T) {
 
 func TestCustomJSONRoundTrip(t *testing.T) {
 	wrapper := &Scenario{Kind: "custom", Custom: validCustom()}
-	var sb strings.Builder
-	if err := wrapper.Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(strings.NewReader(sb.String()))
+	got, err := Read(bytes.NewReader(encode(t, wrapper)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,17 +120,6 @@ type StepBid struct {
 	QMax float64
 }
 
-// Validate checks the parameters.
-func (b StepBid) Validate() error {
-	if b.D < 0 {
-		return fmt.Errorf("%w: demand %v negative", ErrBid, b.D)
-	}
-	if b.QMax < 0 {
-		return fmt.Errorf("%w: QMax %v negative", ErrBid, b.QMax)
-	}
-	return nil
-}
-
 // Demand implements DemandFunc.
 func (b StepBid) Demand(price float64) float64 {
 	if price > b.QMax {
@@ -215,9 +204,6 @@ func (b *FullBid) MaxDemand() float64 { return b.points[0].Demand }
 
 // MaxPrice implements DemandFunc.
 func (b *FullBid) MaxPrice() float64 { return b.points[len(b.points)-1].Price }
-
-// Points returns a copy of the sampled curve.
-func (b *FullBid) Points() []PricePoint { return append([]PricePoint(nil), b.points...) }
 
 // Breakpoints implements Breakpointer: every sampled price is a potential
 // slope change.

@@ -434,6 +434,42 @@ func TestClearPerPDU(t *testing.T) {
 	if _, err := m.ClearPerPDU([]Bid{{Rack: 42, Fn: StepBid{D: 1, QMax: 1}}}); !errors.Is(err, ErrConstraints) {
 		t.Error("bad rack accepted")
 	}
+
+	// Inelastic bids fill each PDU's 100 W spot on its own, 200 W in all,
+	// past the 120 W UPS: the UPS loop must price PDUs up until the total
+	// fits.
+	inelastic := []Bid{
+		{Rack: 0, Fn: StepBid{D: 50, QMax: 0.4}},
+		{Rack: 1, Fn: StepBid{D: 50, QMax: 0.3}},
+		{Rack: 4, Fn: StepBid{D: 50, QMax: 0.4}},
+		{Rack: 5, Fn: StepBid{D: 50, QMax: 0.35}},
+	}
+	loose, err := NewMarket(twoPDUConstraints(100, 100, 200), Options{PriceStep: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := loose.ClearPerPDU(inelastic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := before[0].TotalWatts + before[1].TotalWatts; total <= 120+feasEps {
+		t.Fatalf("test premise broken: per-PDU totals %v W fit the 120 W UPS without repricing", total)
+	}
+	after, err := m.ClearPerPDU(inelastic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[0].Price == before[0].Price && after[1].Price == before[1].Price {
+		t.Error("UPS loop did not reprice any PDU")
+	}
+	if total := after[0].TotalWatts + after[1].TotalWatts; total > 120+feasEps {
+		t.Errorf("per-PDU clearing sold %v W beyond the 120 W UPS", total)
+	}
+	for pdu, r := range after {
+		if r.TotalWatts > 100+feasEps {
+			t.Errorf("PDU %d sold %v W beyond its 100 W spot", pdu, r.TotalWatts)
+		}
+	}
 }
 
 // Each PDU's result is exactly what a standalone Clear returns for that

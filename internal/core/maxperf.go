@@ -150,16 +150,3 @@ func MaxPerf(cons Constraints, reqs []MaxPerfRequest, opts MaxPerfOptions) ([]Al
 	}
 	return out, nil
 }
-
-// TotalGain evaluates the summed performance gain of an allocation under
-// the given requests (requests and allocations must be index-aligned, as
-// returned by MaxPerf).
-func TotalGain(reqs []MaxPerfRequest, allocs []Allocation) float64 {
-	sum := 0.0
-	for i, a := range allocs {
-		if i < len(reqs) && reqs[i].Gain != nil {
-			sum += reqs[i].Gain(a.Watts)
-		}
-	}
-	return sum
-}

@@ -35,16 +35,6 @@ func (r *Report) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
 }
 
-// AddRowf appends a row formatting each value with %v-style verbs already
-// applied by the caller via F.
-func (r *Report) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprint(c)
-	}
-	r.Rows = append(r.Rows, row)
-}
-
 // F formats a float compactly for report cells.
 func F(v float64) string { return fmt.Sprintf("%.4g", v) }
 

@@ -54,37 +54,6 @@ func escapeLabel(s string) string {
 	return b.String()
 }
 
-// unescapeValue inverts escapeHelp/escapeLabel (they escape supersets of the
-// same three sequences). Unknown escapes pass the backslash through, per the
-// Prometheus parsers' lenient behavior.
-func unescapeValue(s string) string {
-	if !strings.Contains(s, `\`) {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
-			case '\\':
-				b.WriteByte('\\')
-				i++
-				continue
-			case 'n':
-				b.WriteByte('\n')
-				i++
-				continue
-			case '"':
-				b.WriteByte('"')
-				i++
-				continue
-			}
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
-
 // formatFloat renders a sample value the way Prometheus expects: shortest
 // round-trippable decimal, with +Inf/-Inf/NaN spelled out.
 func formatFloat(v float64) string {

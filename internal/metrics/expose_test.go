@@ -155,8 +155,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	inf := r.Gauge("rt_inf", "positive infinity")
 	inf.Set(math.Inf(1))
 
-	h := r.HistogramVec("rt_latency_seconds", "latency", []float64{0.1, 1}, "route")
-	lat := h.With("/bid")
+	lat := r.Histogram("rt_latency_seconds", "latency", []float64{0.1, 1})
 	lat.Observe(0.05)
 	lat.Observe(0.5)
 	lat.Observe(30)
@@ -192,15 +191,15 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 
 	wantSamples := map[string]float64{
-		`rt_requests_total|verdict=ok`: 7,
+		`rt_requests_total|verdict=ok`:                                    7,
 		`rt_requests_total|verdict=tricky "quoted" \ value` + "\nnewline": 1,
-		`rt_temperature`:                       -3.75,
-		`rt_inf`:                               math.Inf(1),
-		`rt_latency_seconds_bucket|route=/bid|le=0.1`:  1,
-		`rt_latency_seconds_bucket|route=/bid|le=1`:    2,
-		`rt_latency_seconds_bucket|route=/bid|le=+Inf`: 3,
-		`rt_latency_seconds_sum|route=/bid`:            30.55,
-		`rt_latency_seconds_count|route=/bid`:          3,
+		`rt_temperature`:                    -3.75,
+		`rt_inf`:                            math.Inf(1),
+		`rt_latency_seconds_bucket|le=0.1`:  1,
+		`rt_latency_seconds_bucket|le=1`:    2,
+		`rt_latency_seconds_bucket|le=+Inf`: 3,
+		`rt_latency_seconds_sum`:            30.55,
+		`rt_latency_seconds_count`:          3,
 	}
 	if len(samples) != len(wantSamples) {
 		t.Errorf("parsed %d samples, want %d:\n%s", len(samples), len(wantSamples), text)
@@ -246,7 +245,7 @@ func TestPrometheusNoRawNewlines(t *testing.T) {
 func TestServeScrape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("scrape_total", "scrapes").Add(3)
-	addr, shutdown, err := Serve("127.0.0.1:0", r)
+	addr, shutdown, err := ServeOpts("127.0.0.1:0", r, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,4 +316,35 @@ func FuzzEscapeRoundTrip(f *testing.F) {
 			t.Errorf("help round-trip: %q -> %q -> %q", s, eh, got)
 		}
 	})
+}
+
+// unescapeValue inverts escapeHelp/escapeLabel (they escape supersets of the
+// same three sequences). Unknown escapes pass the backslash through, per the
+// Prometheus parsers' lenient behavior.
+func unescapeValue(s string) string {
+	if !strings.Contains(s, `\`) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			switch s[i+1] {
+			case '\\':
+				b.WriteByte('\\')
+				i++
+				continue
+			case 'n':
+				b.WriteByte('\n')
+				i++
+				continue
+			case '"':
+				b.WriteByte('"')
+				i++
+				continue
+			}
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }

@@ -51,14 +51,10 @@ func MuxOpts(r *Registry, o MuxOptions) *http.ServeMux {
 	return mux
 }
 
-// Serve starts the scrape surface on addr (use host:0 for an ephemeral
-// port) and returns the bound listener address plus a shutdown func. The
-// server runs on its own goroutine; Serve returns immediately.
-func Serve(addr string, r *Registry) (boundAddr string, shutdown func() error, err error) {
-	return ServeOpts(addr, r, MuxOptions{})
-}
-
-// ServeOpts is Serve with optional pprof handlers and extra routes.
+// ServeOpts starts the scrape surface — MuxOpts's endpoints — on addr (use
+// host:0 for an ephemeral port) and returns the bound listener address plus
+// a shutdown func. The server runs on its own goroutine; ServeOpts returns
+// immediately.
 func ServeOpts(addr string, r *Registry, o MuxOptions) (boundAddr string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -26,7 +26,7 @@ func TestMuxPprofGating(t *testing.T) {
 	r.Counter("gated_total", "gating probe").Add(1)
 
 	// Default surface: metrics and health only.
-	addr, shutdown, err := Serve("127.0.0.1:0", r)
+	addr, shutdown, err := ServeOpts("127.0.0.1:0", r, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,16 +153,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n linearly spaced bucket bounds: start,
-// start+width, … It panics on width ≤ 0 or n < 1.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("metrics: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}

@@ -161,13 +161,5 @@ func TestBucketHelpers(t *testing.T) {
 			t.Errorf("ExpBuckets[%d] = %v, want %v", i, exp[i], want[i])
 		}
 	}
-	lin := LinearBuckets(0, 0.5, 3)
-	wantLin := []float64{0, 0.5, 1}
-	for i := range wantLin {
-		if lin[i] != wantLin[i] {
-			t.Errorf("LinearBuckets[%d] = %v, want %v", i, lin[i], wantLin[i])
-		}
-	}
 	assertPanics(t, "ExpBuckets misuse", func() { ExpBuckets(0, 2, 3) })
-	assertPanics(t, "LinearBuckets misuse", func() { LinearBuckets(0, 0, 3) })
 }

@@ -216,17 +216,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // With returns the pre-resolved child gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values).g }
 
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers (or retrieves) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, KindHistogram, labels, bounds)}
-}
-
-// With returns the pre-resolved child histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.with(values).h }
-
 // Sample is one metric instance inside a FamilySnapshot.
 type Sample struct {
 	// LabelValues aligns with the family's Labels.

@@ -44,7 +44,7 @@ func TestHardwareInTheLoopSlotCycle(t *testing.T) {
 	models := make([]capping.ServerModel, len(topo.Racks))
 	for i, r := range topo.Racks {
 		pdus[i], err = rackpdu.New(rackpdu.Config{
-			ID: fmt.Sprintf("rpdu-%s", r.ID), Outlets: 2, BudgetWatts: r.Guaranteed,
+			ID: fmt.Sprintf("rpdu-%s", r.ID), BudgetWatts: r.Guaranteed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +104,8 @@ func TestHardwareInTheLoopSlotCycle(t *testing.T) {
 			if err := pdus[i].Feed(0, w); err != nil {
 				t.Fatal(err)
 			}
-			if _, over := pdus[i].Observe(); over {
-				t.Errorf("slot %d rack %s: settled draw %v over budget %v", slot, r.ID, w, budget)
+			if total := pdus[i].ReadTotal(); total > pdus[i].Budget()+1e-9 {
+				t.Errorf("slot %d rack %s: settled draw %v over budget %v", slot, r.ID, total, budget)
 			}
 		}
 	}
@@ -115,9 +115,6 @@ func TestHardwareInTheLoopSlotCycle(t *testing.T) {
 	for i, p := range pdus {
 		if p.Resets() != 5 {
 			t.Errorf("rack %d saw %d budget resets, want 5", i, p.Resets())
-		}
-		if p.Violations() != 0 {
-			t.Errorf("rack %d recorded %d budget violations", i, p.Violations())
 		}
 	}
 	// Granted racks actually drew above their guarantee (the spot capacity

@@ -265,9 +265,6 @@ func (op *Operator) Pricing() Pricing { return op.pricing }
 // Topology returns the operator's power topology.
 func (op *Operator) Topology() *power.Topology { return op.topo }
 
-// LastSpot returns the spot capacity predicted in the most recent slot.
-func (op *Operator) LastSpot() power.Spot { return op.lastSpot }
-
 // PredictSpot runs Section III-C's prediction for the next slot: the
 // current reading provides reference power, racks appearing in bids are
 // referenced at their guaranteed capacity, and the conservative
@@ -545,10 +542,6 @@ func (op *Operator) PaymentOf(tenant string) float64 {
 	}
 	return 0
 }
-
-// UnattributedRevenue returns the cumulative $ granted to allocations that
-// carried no tenant name (anonymous direct-API bids).
-func (op *Operator) UnattributedRevenue() float64 { return op.unattributed.Sum() }
 
 // MarketOptions returns the market configuration the operator clears with.
 func (op *Operator) MarketOptions() core.Options { return op.market.Options() }

@@ -196,9 +196,9 @@ func TestRunSlotSettlesOneRowPerTenant(t *testing.T) {
 			t.Errorf("row %d = %+v, want {%s %v}", i, r, order[i], want[order[i]])
 		}
 	}
-	if op.PaymentOf("Search-1") != want["Search-1"] || op.UnattributedRevenue() != want[""] {
+	if op.PaymentOf("Search-1") != want["Search-1"] || op.unattributed.Sum() != want[""] {
 		t.Errorf("accounts hold %v / %v, rows %v / %v",
-			op.PaymentOf("Search-1"), op.UnattributedRevenue(), want["Search-1"], want[""])
+			op.PaymentOf("Search-1"), op.unattributed.Sum(), want["Search-1"], want[""])
 	}
 	if err := op.ReconcileAccounts(); err != nil {
 		t.Error(err)

@@ -92,8 +92,8 @@ type PaymentDelta struct {
 
 // SlotCommit is the WAL record for one committed slot: the accumulator
 // deltas (replayed as Adds, preserving compensation), the post-slot
-// absolute counters, the slot's predicted spot (restoring LastSpot), and
-// the responder's post-slot state. Payments carry one row per tenant that
+// absolute counters, the slot's predicted spot (restoring the operator's
+// last prediction), and the responder's post-slot state. Payments carry one row per tenant that
 // was granted capacity, in the order RunSlot booked them (compensated
 // summation is order-sensitive), so a record's size grows with tenants, not
 // racks.

@@ -54,14 +54,14 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if b.Slots() != a.Slots() || b.SpotRevenue() != a.SpotRevenue() ||
 		b.SpotEnergyKWh() != a.SpotEnergyKWh() ||
 		b.PaymentOf("Search-1") != a.PaymentOf("Search-1") ||
-		b.UnattributedRevenue() != a.UnattributedRevenue() {
+		b.unattributed.Sum() != a.unattributed.Sum() {
 		t.Fatal("restored accessors differ from source")
 	}
 	if !reflect.DeepEqual(b.Checkpoint(), cp) {
 		t.Fatal("re-checkpoint differs from source checkpoint")
 	}
-	if !reflect.DeepEqual(b.LastSpot(), a.LastSpot()) {
-		t.Fatal("restored LastSpot differs")
+	if !reflect.DeepEqual(b.lastSpot, a.lastSpot) {
+		t.Fatal("restored last spot differs")
 	}
 	// Both must continue identically: compensated accumulators carried their
 	// compensation terms across the restore.

@@ -65,8 +65,8 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, exp)
 		}
 	}
-	if got := tr.RingOccupancy(); got != 2 {
-		t.Errorf("RingOccupancy() = %d, want 2 (exposition gauge must match)", got)
+	if got := ringOccupancy(tr); got != 2 {
+		t.Errorf("ring occupancy = %d, want 2 (exposition gauge must match)", got)
 	}
 }
 

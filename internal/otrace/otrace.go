@@ -641,13 +641,3 @@ func (t *Tracer) Adopt(root *Span, remote SpanContext) {
 	st.decided = false
 	t.decideLocked(st, remote.Sampled)
 }
-
-// RingOccupancy returns how many spans the ring currently holds.
-func (t *Tracer) RingOccupancy() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ringLen
-}

@@ -39,7 +39,6 @@ func TestNilTracerIsFree(t *testing.T) {
 		_ = root.Context()
 		tr.Adopt(root, SpanContext{Trace: 1, Span: 2, Sampled: true})
 		root.End()
-		_ = tr.RingOccupancy()
 		_ = tr.Snapshot()
 	})
 	if allocs != 0 {
@@ -72,7 +71,7 @@ func TestSampleEveryOneSamplesAll(t *testing.T) {
 		root := tr.StartRoot(rootName, slot)
 		root.End()
 	}
-	if got := tr.RingOccupancy(); got != 3 {
+	if got := ringOccupancy(tr); got != 3 {
 		t.Fatalf("ring occupancy = %d, want 3", got)
 	}
 }
@@ -82,11 +81,11 @@ func TestForceSampleUpgradePublishesBufferedSpans(t *testing.T) {
 	root := tr.StartRoot(rootName, 1) // 1 % 1000 != 0: unsampled head
 	early := tr.StartChild("bid_drain", root)
 	early.End() // buffers: decision pending
-	if got := tr.RingOccupancy(); got != 0 {
+	if got := ringOccupancy(tr); got != 0 {
 		t.Fatalf("buffered span published early: ring=%d", got)
 	}
 	root.ForceSample() // the degraded-slot path
-	if got := tr.RingOccupancy(); got != 1 {
+	if got := ringOccupancy(tr); got != 1 {
 		t.Fatalf("buffered span not flushed on upgrade: ring=%d", got)
 	}
 	late := tr.StartChild("wal_commit", root)
@@ -123,7 +122,7 @@ func TestUnsampledSlotDropsEverything(t *testing.T) {
 	child := tr.StartChild(childName, root)
 	child.End()
 	root.End()
-	if got := tr.RingOccupancy(); got != 0 {
+	if got := ringOccupancy(tr); got != 0 {
 		t.Fatalf("unsampled slot published %d spans", got)
 	}
 	var buf bytes.Buffer
@@ -146,7 +145,7 @@ func TestProvisionalRootAdopt(t *testing.T) {
 	submit.End()
 	// Even at SampleEvery 1 the provisional trace defers: nothing may
 	// publish under the provisional ID before adoption.
-	if got := tr.RingOccupancy(); got != 0 {
+	if got := ringOccupancy(tr); got != 0 {
 		t.Fatalf("provisional trace published %d spans before adoption", got)
 	}
 	remote := SpanContext{Trace: 0xabcd, Span: 0x1234, Sampled: true}
@@ -185,7 +184,7 @@ func TestAdoptUnsampledDropsTrace(t *testing.T) {
 	child.End()
 	tr.Adopt(root, SpanContext{Trace: 0xabcd, Span: 0x1234, Sampled: false})
 	root.End()
-	if got := tr.RingOccupancy(); got != 0 {
+	if got := ringOccupancy(tr); got != 0 {
 		t.Fatalf("unsampled adopted trace published %d spans", got)
 	}
 }
@@ -310,7 +309,7 @@ func TestSlowPercentileUpgrade(t *testing.T) {
 	for slot := 1; slot <= 20; slot++ {
 		tr.StartRoot(rootName, slot).End()
 	}
-	if got := tr.RingOccupancy(); got > 4 {
+	if got := ringOccupancy(tr); got > 4 {
 		t.Fatalf("%d of 20 fast roots published, want nearly none", got)
 	}
 	slow := tr.StartRoot(rootName, 21)
@@ -350,7 +349,7 @@ func TestEvictionDropsPendingAndCounts(t *testing.T) {
 	}
 	// The evicted trace's root still Ends safely (stateless, unsampled).
 	roots[0].End()
-	if got := tr.RingOccupancy(); got != 0 {
+	if got := ringOccupancy(tr); got != 0 {
 		t.Fatalf("evicted trace published %d spans", got)
 	}
 }
@@ -384,7 +383,7 @@ func TestStartRemoteFollowsContext(t *testing.T) {
 	}
 	drop := tr.StartRemote("send", 4, SpanContext{Trace: 0xbeef, Span: 0xcafe, Sampled: false})
 	drop.End()
-	if got := tr.RingOccupancy(); got != 1 {
+	if got := ringOccupancy(tr); got != 1 {
 		t.Fatalf("unsampled remote span published: ring=%d", got)
 	}
 }
@@ -517,4 +516,11 @@ func FuzzParseTraceparent(f *testing.F) {
 			t.Fatalf("ParseTraceparent(%q) returned invalid context without error", s)
 		}
 	})
+}
+
+// ringOccupancy returns how many spans tr's ring currently holds.
+func ringOccupancy(tr *Tracer) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.ringLen
 }

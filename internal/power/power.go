@@ -113,15 +113,6 @@ func (t *Topology) RackByID(id string) (int, bool) {
 	return i, ok
 }
 
-// GuaranteedOfPDU sums the guaranteed capacity leased on PDU m.
-func (t *Topology) GuaranteedOfPDU(m int) float64 {
-	sum := 0.0
-	for _, r := range t.racksByPDU[m] {
-		sum += t.Racks[r].Guaranteed
-	}
-	return sum
-}
-
 // TotalGuaranteed sums the guaranteed capacity across all racks.
 func (t *Topology) TotalGuaranteed() float64 {
 	sum := 0.0
@@ -129,18 +120,6 @@ func (t *Topology) TotalGuaranteed() float64 {
 		sum += r.Guaranteed
 	}
 	return sum
-}
-
-// Oversubscription returns the ratio of leased guaranteed capacity to
-// physical capacity at PDU m (>1 means the PDU is oversubscribed; the
-// paper's testbed runs at 1.05).
-func (t *Topology) Oversubscription(m int) float64 {
-	return t.GuaranteedOfPDU(m) / t.PDUs[m].Capacity
-}
-
-// UPSOversubscription returns leased capacity over UPS capacity.
-func (t *Topology) UPSOversubscription() float64 {
-	return t.TotalGuaranteed() / t.UPSCapacity
 }
 
 // Reading is a snapshot of per-rack power at one instant, as collected by

@@ -81,7 +81,7 @@ func newPipeFanoutServer(b *testing.B, n int, wire Encoding, opts ServerOptions)
 			racks:  map[string]int{fmt.Sprintf("R%04d", i): i},
 			codec:  codec,
 			conn:   local,
-			queue:  make(chan queuedMsg, s.opts.QueueDepth),
+			queue:  make(chan queuedMsg, queueDepth),
 			quit:   make(chan struct{}),
 		}
 		sess.touch()
@@ -106,7 +106,7 @@ func newPipeFanoutServer(b *testing.B, n int, wire Encoding, opts ServerOptions)
 func BenchmarkBroadcast(b *testing.B) {
 	for _, sessions := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			s, frames := newPipeFanoutServer(b, sessions, WireBinary, ServerOptions{QueueDepth: 64})
+			s, frames := newPipeFanoutServer(b, sessions, WireBinary, ServerOptions{})
 			allocs, rackID := fanoutAllocs(sessions)
 			// Warm the pooled grouping and writer scratch.
 			var sent int64

@@ -209,7 +209,7 @@ func TestDegradedSlotStillAdvancesBidWindow(t *testing.T) {
 		t.Errorf("slot 3 price = %v after degraded slots", price)
 	}
 	<-done
-	if n := srv.PendingBidSlots(); n != 0 {
+	if n := pendingBidSlots(srv); n != 0 {
 		t.Errorf("degraded run left %d buffered bid slots", n)
 	}
 }

@@ -39,24 +39,10 @@ func NewSlotClock(epoch time.Time, slotLen time.Duration) (*SlotClock, error) {
 // SlotLen returns the slot duration.
 func (c *SlotClock) SlotLen() time.Duration { return c.slot }
 
-// SlotAt returns the slot index containing t (negative before the epoch).
-func (c *SlotClock) SlotAt(t time.Time) int {
-	d := t.Sub(c.epoch)
-	idx := int(d / c.slot)
-	if d < 0 && d%c.slot != 0 {
-		idx--
-	}
-	return idx
-}
-
 // StartOf returns the wall-clock start of a slot.
 func (c *SlotClock) StartOf(slot int) time.Time {
 	return c.epoch.Add(time.Duration(slot) * c.slot)
 }
-
-// BidDeadline returns the last moment bids for the slot are accepted: the
-// slot's start (bids arrive during the preceding slot, per Fig. 6).
-func (c *SlotClock) BidDeadline(slot int) time.Time { return c.StartOf(slot) }
 
 // MarketLoop drives the operator's Algorithm 1 over the network: each
 // slot boundary it collects the slot's bids from the server, predicts spot

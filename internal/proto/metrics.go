@@ -92,10 +92,10 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		outDropFull:  outDrops.With(dropQueueFull),
 		outDropError: outDrops.With(dropWriteError),
 		deadlineExpiries: r.Counter("spotdc_proto_send_deadline_expiries_total",
-			"Outbound sends that hit the per-message write deadline (ServerOptions.WriteTimeout)."),
-		faultDrops:       faults.With("drop"),
-		faultDelays:      faults.With("delay"),
-		faultSevers:      faults.With("sever"),
+			"Outbound sends that hit the per-message write deadline (5 s, after which the peer is dropped)."),
+		faultDrops:  faults.With("drop"),
+		faultDelays: faults.With("delay"),
+		faultSevers: faults.With("sever"),
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"spotdc/internal/core"
 )
 
-func silentLogf(string, ...interface{}) {}
-
 // testRacks resolves four rack IDs.
 func testResolver() RackResolver {
 	racks := map[string]int{"S-1": 0, "S-2": 1, "O-1": 2, "O-2": 3}
@@ -28,7 +26,6 @@ func newServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLogf(silentLogf)
 	t.Cleanup(func() { s.Close() })
 	return s
 }

@@ -12,7 +12,7 @@ import (
 // exactly ONE bid for the slot — the keyed replacement — never a second
 // entry that would grant (and bill) the rack twice in the same clearing.
 func TestReconnectMidSlotReplacesNotDuplicates(t *testing.T) {
-	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
+	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond})
 	c, err := DialOpts(s.Addr(), "tenant-a", []string{"S-1"}, ClientOptions{
 		Reconnect:   true,
 		BackoffBase: 5 * time.Millisecond,

@@ -24,28 +24,15 @@ type ServerOptions struct {
 	// SessionTTL reaps a session that has sent nothing (bid or heartbeat)
 	// for this long: a half-open connection must not block the tenant name
 	// forever — the tenant simply has no spot capacity until it
-	// reconnects (Section III-C). Default 60s.
+	// reconnects (Section III-C). Default 60s; expired sessions are swept
+	// every SessionTTL/4.
 	SessionTTL time.Duration
-	// ReapInterval is how often expired sessions are swept. Default
-	// SessionTTL/4.
-	ReapInterval time.Duration
 	// BidWindow bounds how far ahead of the market a bid may be: once the
 	// loop has collected slot t, only bids for slots (t, t+BidWindow] are
 	// accepted. Anything further out is rejected (it would sit in the bid
 	// map unpruned), anything at or before t is rejected as stale (it
 	// missed its market — the no-spot default applies). Default 16.
 	BidWindow int
-	// WriteTimeout bounds each outbound message write: a peer whose TCP
-	// buffer stays full past the deadline fails the write and is dropped
-	// to the no-spot default instead of blocking its writer goroutine
-	// forever. Default 5s.
-	WriteTimeout time.Duration
-	// QueueDepth bounds each session's outbound queue (broadcasts, acks,
-	// error replies). A session whose queue is full when the market tries
-	// to enqueue is a slow consumer and is dropped — the Section III-C
-	// no-spot default — so a single stalled peer costs the market loop one
-	// failed enqueue, never a blocked slot. Default 32.
-	QueueDepth int
 	// OwnerOf, if non-nil, names the tenant that owns a rack index. A hello
 	// claiming a rack owned by a different tenant is rejected outright:
 	// without this check any connected tenant could register (and bid spot
@@ -68,26 +55,38 @@ type ServerOptions struct {
 	// expected operation under churn, so it is surfaced via Metrics and
 	// only narrated when a caller opts in (e.g. cmd/spotdc-operator -v).
 	Logf func(format string, args ...interface{})
+
+	// reapInterval overrides the SessionTTL/4 sweep period (a test that
+	// must see a session expire unswept sets it).
+	reapInterval time.Duration
 }
+
+const (
+	// writeTimeout bounds each outbound message write: a peer whose TCP
+	// buffer stays full past the deadline fails the write and is dropped
+	// to the no-spot default instead of blocking its writer goroutine
+	// forever.
+	writeTimeout = 5 * time.Second
+	// queueDepth bounds each session's outbound queue (broadcasts, acks,
+	// error replies). A session whose queue is full when the market tries
+	// to enqueue is a slow consumer and is dropped — the Section III-C
+	// no-spot default — so a single stalled peer costs the market loop one
+	// failed enqueue, never a blocked slot.
+	queueDepth = 32
+)
 
 func (o *ServerOptions) setDefaults() {
 	if o.SessionTTL <= 0 {
 		o.SessionTTL = 60 * time.Second
 	}
-	if o.ReapInterval <= 0 {
-		o.ReapInterval = o.SessionTTL / 4
+	if o.reapInterval <= 0 {
+		o.reapInterval = o.SessionTTL / 4
 	}
-	if o.ReapInterval < time.Millisecond {
-		o.ReapInterval = time.Millisecond
+	if o.reapInterval < time.Millisecond {
+		o.reapInterval = time.Millisecond
 	}
 	if o.BidWindow <= 0 {
 		o.BidWindow = 16
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 5 * time.Second
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 32
 	}
 }
 
@@ -227,13 +226,6 @@ func newServerState(opts ServerOptions) *Server {
 	}
 }
 
-// SetLogf replaces the server's logger (tests use a silent one).
-func (s *Server) SetLogf(f func(string, ...interface{})) {
-	if f != nil {
-		s.logf = f
-	}
-}
-
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
@@ -260,7 +252,7 @@ func (s *Server) acceptLoop() {
 // a crashed-and-restarted tenant can re-hello instead of being locked out.
 func (s *Server) reapLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.ReapInterval)
+	ticker := time.NewTicker(s.opts.reapInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -331,7 +323,7 @@ func (s *Server) handle(conn net.Conn) {
 		racks:  make(map[string]int, len(hello.Racks)),
 		codec:  codec,
 		conn:   conn,
-		queue:  make(chan queuedMsg, s.opts.QueueDepth),
+		queue:  make(chan queuedMsg, queueDepth),
 		quit:   make(chan struct{}),
 	}
 	for _, id := range hello.Racks {
@@ -520,7 +512,7 @@ func (s *Server) writeOne(sess *session, qm queuedMsg) error {
 		sp.SetStr("type", string(qm.typ))
 	}
 	if sess.conn != nil {
-		_ = sess.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		_ = sess.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	err := sess.codec.Send(msg)
 	if err != nil {
@@ -622,19 +614,14 @@ func (s *Server) BroadcastTraced(slot int, price float64, allocs []core.Allocati
 	s.bTenants = s.bTenants[:0]
 }
 
-// BroadcastBudgetReset pushes emergency budget resets to the tenants that
-// own the affected racks: each session receives one budget_reset message
-// carrying only its own racks' new budgets (watts), routed through the
-// rack registrations from its hello. Sessions owning none of the reset
+// BroadcastBudgetResetTraced pushes emergency budget resets to the tenants
+// that own the affected racks: each session receives one budget_reset
+// message carrying only its own racks' new budgets (watts), routed through
+// the rack registrations from its hello. Sessions owning none of the reset
 // racks receive nothing; like price broadcasts the sends are asynchronous,
 // and a failed session falls back to the operator-side rack PDU budget,
-// which still enforces the cap.
-func (s *Server) BroadcastBudgetReset(slot int, budgets map[int]float64) {
-	s.BroadcastBudgetResetTraced(slot, budgets, nil)
-}
-
-// BroadcastBudgetResetTraced is BroadcastBudgetReset under the slot's
-// broadcast span (see BroadcastTraced).
+// which still enforces the cap. The sends are timed under the slot's
+// broadcast span parent (nil for none; see BroadcastTraced).
 func (s *Server) BroadcastBudgetResetTraced(slot int, budgets map[int]float64, parent *otrace.Span) {
 	if len(budgets) == 0 {
 		return
@@ -800,14 +787,6 @@ func (s *Server) BufferedBids(slot int) int {
 		n += len(bs)
 	}
 	return n
-}
-
-// PendingBidSlots returns how many future slots currently hold buffered
-// bids (a growth observability hook; bounded by BidWindow).
-func (s *Server) PendingBidSlots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.bids)
 }
 
 // Sessions returns the names of currently connected tenants, sorted — map

@@ -13,13 +13,12 @@ func newServerOpts(t *testing.T, opts ServerOptions) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLogf(silentLogf)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
 
 func TestSessionReapFreesTenantName(t *testing.T) {
-	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
+	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond})
 	c1, err := Dial(s.Addr(), "phoenix", []string{"S-1"})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +50,7 @@ func TestSessionReapFreesTenantName(t *testing.T) {
 func TestExpiredSessionEvictedByReHello(t *testing.T) {
 	// Long reap interval: the sweep won't fire, so eviction must happen
 	// on the duplicate hello itself.
-	s := newServerOpts(t, ServerOptions{SessionTTL: 60 * time.Millisecond, ReapInterval: 10 * time.Second})
+	s := newServerOpts(t, ServerOptions{SessionTTL: 60 * time.Millisecond, reapInterval: 10 * time.Second})
 	c1, err := Dial(s.Addr(), "dup", []string{"S-1"})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestBidWindowRejectsFarFutureAndStale(t *testing.T) {
 	if _, _, err := c.AwaitPrice(1000, time.Second); !errors.Is(err, ErrProtocol) {
 		t.Errorf("far-future bid not rejected: %v", err)
 	}
-	if n := s.PendingBidSlots(); n != 0 {
+	if n := pendingBidSlots(s); n != 0 {
 		t.Errorf("rejected bid left %d buffered slots", n)
 	}
 
@@ -148,9 +147,9 @@ func TestTakeBidsPrunesBeyondWindow(t *testing.T) {
 	// Wait for the remaining five submissions to land (same connection,
 	// processed in order, but asynchronously to this goroutine).
 	deadlineAt := time.Now().Add(2 * time.Second)
-	for s.PendingBidSlots() != 5 {
+	for pendingBidSlots(s) != 5 {
 		if time.Now().After(deadlineAt) {
-			t.Fatalf("buffered slots = %d, want 5", s.PendingBidSlots())
+			t.Fatalf("buffered slots = %d, want 5", pendingBidSlots(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -162,7 +161,7 @@ func TestTakeBidsPrunesBeyondWindow(t *testing.T) {
 		t.Fatalf("slot 2 bids = %d", len(got))
 	}
 	// Slots 3,4 remain (within 2..4); 5,6 pruned.
-	if n := s.PendingBidSlots(); n != 2 {
+	if n := pendingBidSlots(s); n != 2 {
 		t.Errorf("buffered slots = %d, want 2 (beyond-window pruned)", n)
 	}
 }
@@ -201,7 +200,7 @@ func TestClientReconnectResumesSession(t *testing.T) {
 	// The server reaps the idle session (simulating a half-open drop);
 	// the client's next await hits the closed connection, reconnects with
 	// backoff, re-registers its racks, and the session resumes.
-	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond, ReapInterval: 20 * time.Millisecond})
+	s := newServerOpts(t, ServerOptions{SessionTTL: 80 * time.Millisecond})
 	var attempts []error
 	c, err := DialOpts(s.Addr(), "tenant-a", []string{"S-1"}, ClientOptions{
 		Reconnect:   true,
@@ -257,7 +256,7 @@ func TestClientReconnectResumesSession(t *testing.T) {
 }
 
 func TestReconnectDisabledFailsFast(t *testing.T) {
-	s := newServerOpts(t, ServerOptions{SessionTTL: 60 * time.Millisecond, ReapInterval: 15 * time.Millisecond})
+	s := newServerOpts(t, ServerOptions{SessionTTL: 60 * time.Millisecond})
 	c, err := Dial(s.Addr(), "tenant-a", []string{"S-1"})
 	if err != nil {
 		t.Fatal(err)
@@ -279,4 +278,11 @@ func TestReconnectDisabledFailsFast(t *testing.T) {
 	if c.Reconnects() != 0 {
 		t.Error("reconnect happened despite being disabled")
 	}
+}
+
+// pendingBidSlots returns how many future slots hold buffered bids.
+func pendingBidSlots(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.bids)
 }

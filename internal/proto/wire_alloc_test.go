@@ -56,7 +56,7 @@ func newFanoutServer(n int, wire Encoding, opts ServerOptions) (*Server, *atomic
 			tenant: fmt.Sprintf("t%04d", i),
 			racks:  map[string]int{fmt.Sprintf("R%04d", i): i},
 			codec:  codec,
-			queue:  make(chan queuedMsg, s.opts.QueueDepth),
+			queue:  make(chan queuedMsg, queueDepth),
 			quit:   make(chan struct{}),
 		}
 		sess.touch()
@@ -95,7 +95,7 @@ func drainTo(tb testing.TB, frames *atomic.Int64, want int64) {
 
 // TestWireAllocBudget is the protocol twin of TestClearAllocBudget: the
 // steady-state hot path — binary Send, binary Recv, and the full Broadcast
-// and BroadcastBudgetReset fan-out including the writer goroutines — must
+// and BroadcastBudgetResetTraced fan-out including the writer goroutines — must
 // perform zero heap allocations per operation once warm. AllocsPerRun
 // measures process-wide mallocs, so the writers' sends are inside the
 // budget, not just the enqueue.
@@ -171,16 +171,16 @@ func TestWireAllocBudget(t *testing.T) {
 		}
 		var sent int64
 		for i := 0; i < 50; i++ {
-			s.BroadcastBudgetReset(i, budgets)
+			s.BroadcastBudgetResetTraced(i, budgets, nil)
 			sent += sessions
 			drainTo(t, frames, sent)
 		}
 		if a := testing.AllocsPerRun(20, func() {
-			s.BroadcastBudgetReset(99, budgets)
+			s.BroadcastBudgetResetTraced(99, budgets, nil)
 			sent += sessions
 			drainTo(t, frames, sent)
 		}); a != 0 {
-			t.Errorf("BroadcastBudgetReset fan-out: %.1f allocs/op, want 0", a)
+			t.Errorf("BroadcastBudgetResetTraced fan-out: %.1f allocs/op, want 0", a)
 		}
 	})
 }

@@ -1,11 +1,11 @@
-// Package rackpdu emulates the intelligent (metered-by-outlet, switched)
-// rack PDU the paper's testbed uses (APC AP8632): per-outlet power
-// metering, outlet switching, and — the capability SpotDC depends on —
-// runtime resetting of the rack-level power budget, which commodity units
-// sustain at 20+ resets per second without timeouts.
+// Package rackpdu emulates the intelligent rack PDU the paper's testbed uses
+// (APC AP8632) for the one capability SpotDC depends on: runtime resetting
+// of the rack-level power budget, which commodity units sustain at 20+
+// resets per second without timeouts. Per-outlet draw can be fed in and the
+// rack total read back, for closed-loop tests of budget enforcement.
 //
 // The emulation is safe for concurrent use: the operator resets budgets
-// from its market loop while the simulation feeds per-outlet draw.
+// from its market loop while a simulation feeds per-outlet draw.
 package rackpdu
 
 import (
@@ -21,9 +21,7 @@ import (
 // every PDU of a run (counters aggregate across units). Build one with
 // NewMetrics and hand it to Config.Metrics; nil disables instrumentation.
 type Metrics struct {
-	resets     *metrics.Counter
-	violations *metrics.Counter
-	caps       *metrics.Counter
+	resets *metrics.Counter
 }
 
 // NewMetrics registers the rack-PDU families on r. Registration is
@@ -32,10 +30,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
 		resets: r.Counter("spotdc_rackpdu_budget_resets_total",
 			"Rack power-budget resets applied (SpotDC issues one per rack per slot; the AP8632 sustains 20+/s)."),
-		violations: r.Counter("spotdc_rackpdu_budget_violations_total",
-			"Observations where a rack's metered draw exceeded its budget."),
-		caps: r.Counter("spotdc_rackpdu_caps_enforced_total",
-			"Involuntary power cuts applied to racks that kept exceeding their budget."),
 	}
 }
 
@@ -45,82 +39,55 @@ var ErrOutlet = errors.New("rackpdu: invalid outlet")
 // ErrBudget reports an invalid budget value.
 var ErrBudget = errors.New("rackpdu: invalid budget")
 
-// DefaultOutlets matches the AP8632's 24 outlets.
-const DefaultOutlets = 24
+// numOutlets matches the AP8632's 24 outlets.
+const numOutlets = 24
 
 // PDU is one emulated intelligent rack PDU.
 type PDU struct {
 	mu sync.Mutex
 
-	id          string
-	outletDraw  []float64
-	outletOn    []bool
-	budget      float64
-	resetDelay  time.Duration
-	resets      int
-	overBudget  int // slots/observations where draw exceeded budget
-	lastObserve float64
-	met         *Metrics
+	id         string
+	outletDraw []float64
+	budget     float64
+	resetDelay time.Duration
+	resets     int
+	met        *Metrics
 }
 
 // Config parameterizes a PDU.
 type Config struct {
-	// ID names the unit.
+	// ID names the unit in its errors.
 	ID string
-	// Outlets is the outlet count (default DefaultOutlets).
-	Outlets int
 	// BudgetWatts is the initial rack power budget (guaranteed capacity).
 	BudgetWatts float64
 	// ResetDelay emulates the firmware latency of a budget reset; the
 	// AP8632 sustains 20+ resets/s, i.e. < 50 ms. Zero means instantaneous
 	// (useful in simulations).
 	ResetDelay time.Duration
-	// Metrics, if non-nil, counts budget resets, violations, and enforced
-	// caps on the shared rack-PDU handle set.
+	// Metrics, if non-nil, counts budget resets on the shared rack-PDU
+	// handle set.
 	Metrics *Metrics
 }
 
-// New builds a PDU with all outlets switched on.
+// New builds a PDU with every outlet drawing nothing.
 func New(cfg Config) (*PDU, error) {
-	n := cfg.Outlets
-	if n == 0 {
-		n = DefaultOutlets
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("%w: %d outlets", ErrOutlet, n)
-	}
 	if cfg.BudgetWatts < 0 {
-		return nil, fmt.Errorf("%w: %v W", ErrBudget, cfg.BudgetWatts)
+		return nil, fmt.Errorf("%w: %s: %v W", ErrBudget, cfg.ID, cfg.BudgetWatts)
 	}
-	p := &PDU{
+	return &PDU{
 		id:         cfg.ID,
-		outletDraw: make([]float64, n),
-		outletOn:   make([]bool, n),
+		outletDraw: make([]float64, numOutlets),
 		budget:     cfg.BudgetWatts,
 		resetDelay: cfg.ResetDelay,
 		met:        cfg.Metrics,
-	}
-	for i := range p.outletOn {
-		p.outletOn[i] = true
-	}
-	return p, nil
-}
-
-// ID returns the unit's name.
-func (p *PDU) ID() string { return p.id }
-
-// Outlets returns the outlet count.
-func (p *PDU) Outlets() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.outletDraw)
+	}, nil
 }
 
 // SetBudget resets the rack-level power budget — the operation SpotDC
 // issues every slot to deliver guaranteed + granted spot capacity.
 func (p *PDU) SetBudget(watts float64) error {
 	if watts < 0 {
-		return fmt.Errorf("%w: %v W", ErrBudget, watts)
+		return fmt.Errorf("%w: %s: %v W", ErrBudget, p.id, watts)
 	}
 	if p.resetDelay > 0 {
 		time.Sleep(p.resetDelay)
@@ -149,117 +116,32 @@ func (p *PDU) Resets() int {
 	return p.resets
 }
 
-// SetOutlet switches an outlet on or off. Switching off zeroes its draw.
-func (p *PDU) SetOutlet(outlet int, on bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if outlet < 0 || outlet >= len(p.outletOn) {
-		return fmt.Errorf("%w: %d of %d", ErrOutlet, outlet, len(p.outletOn))
-	}
-	p.outletOn[outlet] = on
-	if !on {
-		p.outletDraw[outlet] = 0
-	}
-	return nil
-}
-
-// OutletOn reports whether an outlet is switched on.
-func (p *PDU) OutletOn(outlet int) (bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if outlet < 0 || outlet >= len(p.outletOn) {
-		return false, fmt.Errorf("%w: %d of %d", ErrOutlet, outlet, len(p.outletOn))
-	}
-	return p.outletOn[outlet], nil
-}
-
-// Feed sets the instantaneous draw of an outlet (the simulation's stand-in
-// for a plugged server). Feeding a switched-off outlet draws nothing.
+// Feed sets the instantaneous draw of an outlet (the stand-in for a
+// plugged server).
+//
+// testhook: the operator's closed-loop integration test meters its racks
 func (p *PDU) Feed(outlet int, watts float64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if outlet < 0 || outlet >= len(p.outletDraw) {
-		return fmt.Errorf("%w: %d of %d", ErrOutlet, outlet, len(p.outletDraw))
+		return fmt.Errorf("%w: %s: %d of %d", ErrOutlet, p.id, outlet, len(p.outletDraw))
 	}
 	if watts < 0 {
-		return fmt.Errorf("rackpdu: negative draw %v", watts)
-	}
-	if !p.outletOn[outlet] {
-		p.outletDraw[outlet] = 0
-		return nil
+		return fmt.Errorf("rackpdu: %s: negative draw %v", p.id, watts)
 	}
 	p.outletDraw[outlet] = watts
 	return nil
 }
 
-// ReadOutlet returns one outlet's metered draw (per-outlet metering is the
-// AP8632 feature the paper relies on for billing and monitoring).
-func (p *PDU) ReadOutlet(outlet int) (float64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if outlet < 0 || outlet >= len(p.outletDraw) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrOutlet, outlet, len(p.outletDraw))
-	}
-	return p.outletDraw[outlet], nil
-}
-
 // ReadTotal returns the rack's total metered draw.
+//
+// testhook: the operator's closed-loop integration test meters its racks
 func (p *PDU) ReadTotal() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.total()
-}
-
-func (p *PDU) total() float64 {
 	sum := 0.0
 	for _, d := range p.outletDraw {
 		sum += d
 	}
 	return sum
-}
-
-// Observe samples the PDU: it returns the total draw and whether it exceeds
-// the budget, accumulating the violation counter the operator uses to warn
-// (and eventually cut) tenants that exceed their assigned capacity
-// (Section III-C, "handling exceptions").
-func (p *PDU) Observe() (totalWatts float64, overBudget bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := p.total()
-	p.lastObserve = t
-	if t > p.budget+1e-9 {
-		p.overBudget++
-		if p.met != nil {
-			p.met.violations.Inc()
-		}
-		return t, true
-	}
-	return t, false
-}
-
-// Violations returns how many observations exceeded the budget.
-func (p *PDU) Violations() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.overBudget
-}
-
-// EnforceCap scales every outlet's draw down proportionally so the total
-// fits the budget — the involuntary power cut applied to tenants that keep
-// exceeding their assigned capacity. It returns the watts shed.
-func (p *PDU) EnforceCap() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := p.total()
-	if t <= p.budget || t == 0 {
-		return 0
-	}
-	scale := p.budget / t
-	for i := range p.outletDraw {
-		p.outletDraw[i] *= scale
-	}
-	if p.met != nil {
-		p.met.caps.Inc()
-	}
-	return t - p.budget
 }

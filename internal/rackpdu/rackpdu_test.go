@@ -9,7 +9,7 @@ import (
 
 func newPDU(t *testing.T, budget float64) *PDU {
 	t.Helper()
-	p, err := New(Config{ID: "rpdu-1", Outlets: 4, BudgetWatts: budget})
+	p, err := New(Config{ID: "rpdu-1", BudgetWatts: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +21,11 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Outlets() != DefaultOutlets {
-		t.Errorf("outlets = %d, want %d", p.Outlets(), DefaultOutlets)
+	if len(p.outletDraw) != numOutlets {
+		t.Errorf("outlets = %d, want %d", len(p.outletDraw), numOutlets)
 	}
-	if p.ID() != "x" || p.Budget() != 100 {
+	if p.id != "x" || p.Budget() != 100 {
 		t.Error("config not applied")
-	}
-	if _, err := New(Config{Outlets: -1}); !errors.Is(err, ErrOutlet) {
-		t.Error("negative outlets accepted")
 	}
 	if _, err := New(Config{BudgetWatts: -1}); !errors.Is(err, ErrBudget) {
 		t.Error("negative budget accepted")
@@ -43,58 +40,20 @@ func TestFeedAndRead(t *testing.T) {
 	if err := p.Feed(1, 30); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := p.ReadOutlet(0); err != nil || got != 50 {
-		t.Errorf("ReadOutlet(0) = %v, %v", got, err)
+	if got := p.outletDraw[0]; got != 50 {
+		t.Errorf("outlet 0 draws %v", got)
 	}
 	if got := p.ReadTotal(); got != 80 {
 		t.Errorf("ReadTotal = %v", got)
 	}
-	if err := p.Feed(9, 1); !errors.Is(err, ErrOutlet) {
+	if err := p.Feed(numOutlets, 1); !errors.Is(err, ErrOutlet) {
 		t.Error("bad outlet accepted")
 	}
-	if _, err := p.ReadOutlet(-1); !errors.Is(err, ErrOutlet) {
-		t.Error("bad outlet read accepted")
+	if err := p.Feed(-1, 1); !errors.Is(err, ErrOutlet) {
+		t.Error("negative outlet accepted")
 	}
 	if err := p.Feed(0, -5); err == nil {
 		t.Error("negative draw accepted")
-	}
-}
-
-func TestOutletSwitching(t *testing.T) {
-	p := newPDU(t, 200)
-	if on, err := p.OutletOn(2); err != nil || !on {
-		t.Fatalf("outlets should start on: %v, %v", on, err)
-	}
-	if err := p.Feed(2, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetOutlet(2, false); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.ReadOutlet(2); got != 0 {
-		t.Errorf("switched-off outlet draws %v", got)
-	}
-	// Feeding a switched-off outlet stays at zero.
-	if err := p.Feed(2, 40); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.ReadOutlet(2); got != 0 {
-		t.Errorf("off outlet accepted draw: %v", got)
-	}
-	if err := p.SetOutlet(2, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Feed(2, 40); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.ReadOutlet(2); got != 40 {
-		t.Errorf("re-enabled outlet draw = %v", got)
-	}
-	if err := p.SetOutlet(99, true); !errors.Is(err, ErrOutlet) {
-		t.Error("bad outlet switch accepted")
-	}
-	if _, err := p.OutletOn(99); !errors.Is(err, ErrOutlet) {
-		t.Error("bad OutletOn accepted")
 	}
 }
 
@@ -117,7 +76,7 @@ func TestSetBudgetAndResets(t *testing.T) {
 func TestResetRate(t *testing.T) {
 	// The paper cites 20+ budget resets per second for this class of PDU;
 	// with a 5 ms emulated firmware delay we comfortably exceed that.
-	p, err := New(Config{ID: "x", Outlets: 2, BudgetWatts: 100, ResetDelay: 5 * time.Millisecond})
+	p, err := New(Config{ID: "x", BudgetWatts: 100, ResetDelay: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,59 +96,6 @@ func TestResetRate(t *testing.T) {
 	}
 }
 
-func TestObserveAndViolations(t *testing.T) {
-	p := newPDU(t, 100)
-	if err := p.Feed(0, 60); err != nil {
-		t.Fatal(err)
-	}
-	total, over := p.Observe()
-	if total != 60 || over {
-		t.Errorf("Observe = %v, %v", total, over)
-	}
-	if err := p.Feed(1, 70); err != nil {
-		t.Fatal(err)
-	}
-	total, over = p.Observe()
-	if total != 130 || !over {
-		t.Errorf("Observe = %v, %v; want 130, true", total, over)
-	}
-	if p.Violations() != 1 {
-		t.Errorf("violations = %d", p.Violations())
-	}
-}
-
-func TestEnforceCap(t *testing.T) {
-	p := newPDU(t, 100)
-	if err := p.Feed(0, 80); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Feed(1, 40); err != nil {
-		t.Fatal(err)
-	}
-	shed := p.EnforceCap()
-	if shed != 20 {
-		t.Errorf("shed = %v, want 20", shed)
-	}
-	if got := p.ReadTotal(); got > 100+1e-9 {
-		t.Errorf("total after cap = %v", got)
-	}
-	// Proportional: 80:40 ratio preserved.
-	o0, _ := p.ReadOutlet(0)
-	o1, _ := p.ReadOutlet(1)
-	if o0/o1 < 1.99 || o0/o1 > 2.01 {
-		t.Errorf("cap not proportional: %v / %v", o0, o1)
-	}
-	// No-op when under budget.
-	if shed := p.EnforceCap(); shed != 0 {
-		t.Errorf("second cap shed %v", shed)
-	}
-	// Zero-draw edge.
-	empty := newPDU(t, 0)
-	if shed := empty.EnforceCap(); shed != 0 {
-		t.Errorf("empty cap shed %v", shed)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	p := newPDU(t, 500)
 	var wg sync.WaitGroup
@@ -204,7 +110,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					_ = p.Feed(i%4, float64(i%100))
 				case 2:
-					p.Observe()
+					p.Budget()
 				case 3:
 					p.ReadTotal()
 				}

@@ -35,6 +35,11 @@ import (
 	"spotdc/internal/wal"
 )
 
+// bidBarrierWait caps how long past its boundary a crash run's slot waits
+// for its expected bids: far beyond any scheduling delay, so only a tenant
+// that will never bid reaches it.
+const bidBarrierWait = 5 * time.Second
+
 // CrashKill is one injected operator death.
 type CrashKill struct {
 	// AfterSlot kills the operator once this slot has committed and
@@ -169,6 +174,8 @@ func tearWALTail(dir string) error {
 // separated by the configured kills, recovering each lifetime from the
 // StateDir. See the package comment in this file for the determinism
 // contract.
+//
+// testhook: the crash-recovery smoke drives it
 func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*CrashResult, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -273,16 +280,26 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 	// The plant's loop (seeded reference reading, feasibility re-check,
 	// emergency tolerance), plus what only a crash run has: its own journal
 	// file, the WAL, and the bid barrier.
-	slotLen := opts.SlotLen
 	loop := p.marketLoop(clock)
 	loop.Journal = journal
 	loop.Durable = &proto.Durable{Log: log, SnapshotEvery: crash.SnapshotEvery}
 	// Bid-arrival barrier: every run, interrupted or not, must drain the
-	// same bid set per slot. Bounded by a quarter slot so a dead tenant
-	// cannot stall the market.
+	// same bid set per slot, so the drain waits for every expected bid
+	// however late it lands (RunSlots catches up on the boundaries it
+	// passed meanwhile). Bids still missing after bidBarrierWait fail the
+	// run rather than clear a short slot that the other run did not.
+	var barrierErr error
+	stop := make(chan struct{})
+	loop.Stop = stop
 	loop.BeforeBids = func(slot int) {
-		deadline := clock.StartOf(slot).Add(slotLen / 4)
-		for srv.BufferedBids(slot) < expect[slot] && time.Now().Before(deadline) {
+		deadline := clock.StartOf(slot).Add(bidBarrierWait)
+		for barrierErr == nil && srv.BufferedBids(slot) < expect[slot] {
+			if time.Now().After(deadline) {
+				barrierErr = fmt.Errorf("bid barrier timed out: slot %d has %d of %d bids %v past its boundary",
+					slot, srv.BufferedBids(slot), expect[slot], bidBarrierWait)
+				close(stop)
+				return
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
@@ -290,6 +307,9 @@ func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res
 	wait := p.runTenants(clock, resume, end)
 	cleared, runErr := loop.RunSlots(resume, end-resume)
 	wait()
+	if runErr == nil {
+		runErr = barrierErr
+	}
 	if runErr != nil {
 		log.Close()
 		return nil, runErr

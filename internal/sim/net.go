@@ -444,6 +444,8 @@ func (p *netPlant) audit() error {
 // feedback is not replayed into the readings — racks are referenced at 75%
 // of their guarantee, as in the spotdc-operator demo — because the harness
 // exists to stress the transport, not the workload models.
+//
+// testhook: the networked smokes, the audit replay and the root smoke tests drive it
 func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spotdc/internal/operator"
+	"spotdc/internal/power"
 	"spotdc/internal/stats"
 	"spotdc/internal/tenant"
 	"spotdc/internal/workload"
@@ -72,10 +73,10 @@ func TestTestbedTopologyMatchesTableI(t *testing.T) {
 		t.Errorf("racks=%d agents=%d, want 8/8", len(topo.Racks), len(sc.Agents))
 	}
 	// Table I subscriptions: 500 W participating on PDU#1, 510 W on PDU#2.
-	if got := topo.GuaranteedOfPDU(0); got != 500 {
+	if got := guaranteedOfPDU(topo, 0); got != 500 {
 		t.Errorf("PDU#1 guaranteed = %v", got)
 	}
-	if got := topo.GuaranteedOfPDU(1); got != 510 {
+	if got := guaranteedOfPDU(topo, 1); got != 510 {
 		t.Errorf("PDU#2 guaranteed = %v", got)
 	}
 	// 5% oversubscription at each PDU including the 250 W "Other" leases.
@@ -377,4 +378,13 @@ func TestHintReachesAgents(t *testing.T) {
 	if called != 20 {
 		t.Errorf("hint called %d times, want 20", called)
 	}
+}
+
+// guaranteedOfPDU sums the guaranteed capacity leased on PDU m.
+func guaranteedOfPDU(t *power.Topology, m int) float64 {
+	sum := 0.0
+	for _, r := range t.RacksOfPDU(m) {
+		sum += t.Racks[r].Guaranteed
+	}
+	return sum
 }

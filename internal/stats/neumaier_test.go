@@ -12,8 +12,8 @@ import (
 // accumulator recovers the full amount.
 func TestNeumaierBeatsNaiveAt15000Racks(t *testing.T) {
 	const racks = 15000
-	const big = 1e16  // cumulative revenue already on the books
-	const tiny = 0.1  // one rack's per-slot payment
+	const big = 1e16 // cumulative revenue already on the books
+	const tiny = 0.1 // one rack's per-slot payment
 	want := big + tiny*racks
 
 	naive := big

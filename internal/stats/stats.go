@@ -139,40 +139,22 @@ func percentileSorted(sorted []float64, p float64) float64 {
 }
 
 // CDF is an empirical cumulative distribution function over a sample.
-// The zero value is empty; use NewCDF or Add to populate it.
 type CDF struct {
 	sorted []float64
-	dirty  []float64
 }
 
 // NewCDF builds a CDF from the given samples. The input is copied.
 func NewCDF(xs []float64) *CDF {
-	c := &CDF{}
-	c.dirty = append(c.dirty, xs...)
-	c.compact()
-	return c
-}
-
-// Add appends samples to the distribution.
-func (c *CDF) Add(xs ...float64) {
-	c.dirty = append(c.dirty, xs...)
-}
-
-func (c *CDF) compact() {
-	if len(c.dirty) == 0 {
-		return
-	}
-	c.sorted = append(c.sorted, c.dirty...)
-	c.dirty = c.dirty[:0]
-	sort.Float64s(c.sorted)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return &CDF{sorted: sorted}
 }
 
 // Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) + len(c.dirty) }
+func (c *CDF) Len() int { return len(c.sorted) }
 
 // At returns P(X ≤ x), the fraction of samples that are ≤ x.
 func (c *CDF) At(x float64) float64 {
-	c.compact()
 	if len(c.sorted) == 0 {
 		return 0
 	}
@@ -182,7 +164,6 @@ func (c *CDF) At(x float64) float64 {
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the sample.
 func (c *CDF) Quantile(q float64) (float64, error) {
-	c.compact()
 	if len(c.sorted) == 0 {
 		return 0, ErrEmpty
 	}
@@ -190,37 +171,6 @@ func (c *CDF) Quantile(q float64) (float64, error) {
 		return 0, fmt.Errorf("stats: quantile %v out of range [0,1]", q)
 	}
 	return percentileSorted(c.sorted, q*100), nil
-}
-
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 {
-	c.compact()
-	return Mean(c.sorted)
-}
-
-// Points samples the CDF at n evenly spaced values spanning [min, max] and
-// returns (x, P(X≤x)) pairs, suitable for plotting the curves in Fig. 2(b)
-// and Fig. 13 of the paper.
-func (c *CDF) Points(n int) []Point {
-	c.compact()
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	pts := make([]Point, 0, n)
-	if n == 1 || hi == lo {
-		return append(pts, Point{X: hi, Y: 1})
-	}
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Point is an (x, y) pair of a sampled curve.
-type Point struct {
-	X, Y float64
 }
 
 // Summary captures the descriptive statistics the experiment harness prints.
@@ -257,92 +207,29 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Std, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
 
-// Running accumulates a mean/min/max/count incrementally without retaining
+// Running accumulates a mean and maximum incrementally without retaining
 // samples; used by year-long simulations where storing every slot value for
 // every tenant would be wasteful.
 type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n         int
+	mean, max float64
 }
 
 // Observe folds x into the accumulator.
 func (r *Running) Observe(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 1 || x > r.max {
+		r.max = x
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
 }
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean (0 if no observations).
 func (r *Running) Mean() float64 { return r.mean }
 
-// Min returns the smallest observation (0 if none).
-func (r *Running) Min() float64 { return r.min }
-
 // Max returns the largest observation (0 if none).
 func (r *Running) Max() float64 { return r.max }
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
-
-// Sum returns mean*n, the total of all observations.
-func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
-
-// Series is a named time series collected over simulation slots.
-type Series struct {
-	Name   string
-	Values []float64
-}
-
-// Append adds a value to the series.
-func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Values) }
-
-// Normalize returns a copy of the series divided element-wise by base.
-// Elements where base is zero map to zero.
-func (s *Series) Normalize(base float64) Series {
-	out := Series{Name: s.Name, Values: make([]float64, len(s.Values))}
-	if base != 0 {
-		for i, v := range s.Values {
-			out.Values[i] = v / base
-		}
-	}
-	return out
-}
-
-// Diffs returns the slot-to-slot differences v[i+1]-v[i]; used for the
-// Fig. 7(a) PDU power-variation analysis.
-func Diffs(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
-}
 
 // RelDiffs returns the relative slot-to-slot changes |v[i+1]-v[i]| / v[i].
 // Slots with v[i]==0 are skipped.
@@ -358,17 +245,6 @@ func RelDiffs(xs []float64) []float64 {
 		out = append(out, math.Abs(xs[i]-xs[i-1])/xs[i-1])
 	}
 	return out
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // EWMA is an exponentially weighted moving average, the classic low-cost

@@ -46,21 +46,6 @@ func (p *Power) At(i int) float64 {
 	return p.Watts[((i%len(p.Watts))+len(p.Watts))%len(p.Watts)]
 }
 
-// Scale multiplies every sample by k in place and returns the receiver.
-func (p *Power) Scale(k float64) *Power {
-	for i := range p.Watts {
-		p.Watts[i] *= k
-	}
-	return p
-}
-
-// Clone returns a deep copy.
-func (p *Power) Clone() *Power {
-	cp := &Power{Name: p.Name, SlotSeconds: p.SlotSeconds}
-	cp.Watts = append(cp.Watts, p.Watts...)
-	return cp
-}
-
 // PowerConfig parameterizes the bounded-variation AR(1) power generator.
 type PowerConfig struct {
 	// Name for the produced trace.
@@ -325,72 +310,6 @@ func ReadCSV(r io.Reader) (*Power, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// Slice returns a copy of the trace restricted to slots [from, to).
-func (p *Power) Slice(from, to int) (*Power, error) {
-	if from < 0 || to > len(p.Watts) || from >= to {
-		return nil, fmt.Errorf("%w: slice [%d, %d) of %d slots", ErrBadTrace, from, to, len(p.Watts))
-	}
-	out := &Power{Name: p.Name, SlotSeconds: p.SlotSeconds}
-	out.Watts = append(out.Watts, p.Watts[from:to]...)
-	return out, nil
-}
-
-// Concat appends another trace with the same slot length.
-func (p *Power) Concat(other *Power) (*Power, error) {
-	if p.SlotSeconds != other.SlotSeconds {
-		return nil, fmt.Errorf("%w: concat of %ds and %ds slots", ErrBadTrace, p.SlotSeconds, other.SlotSeconds)
-	}
-	out := p.Clone()
-	out.Watts = append(out.Watts, other.Watts...)
-	return out, nil
-}
-
-// Add sums another trace element-wise (wrapping the shorter one), keeping
-// the receiver's length — how multiple background feeds combine on one PDU.
-func (p *Power) Add(other *Power) *Power {
-	out := p.Clone()
-	for i := range out.Watts {
-		out.Watts[i] += other.At(i)
-	}
-	return out
-}
-
-// Resample converts the trace to a different slot length by averaging
-// (coarsening) or repeating (refining) samples. The new slot length must
-// divide, or be divisible by, the current one.
-func (p *Power) Resample(slotSeconds int) (*Power, error) {
-	if slotSeconds <= 0 {
-		return nil, fmt.Errorf("%w: slot length %d", ErrBadTrace, slotSeconds)
-	}
-	if p.SlotSeconds == slotSeconds {
-		return p.Clone(), nil
-	}
-	out := &Power{Name: p.Name, SlotSeconds: slotSeconds}
-	switch {
-	case slotSeconds%p.SlotSeconds == 0:
-		// Coarsen: average k consecutive samples.
-		k := slotSeconds / p.SlotSeconds
-		for i := 0; i+k <= len(p.Watts); i += k {
-			sum := 0.0
-			for j := 0; j < k; j++ {
-				sum += p.Watts[i+j]
-			}
-			out.Watts = append(out.Watts, sum/float64(k))
-		}
-	case p.SlotSeconds%slotSeconds == 0:
-		// Refine: repeat each sample k times (zero-order hold).
-		k := p.SlotSeconds / slotSeconds
-		for _, w := range p.Watts {
-			for j := 0; j < k; j++ {
-				out.Watts = append(out.Watts, w)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: cannot resample %ds to %ds", ErrBadTrace, p.SlotSeconds, slotSeconds)
 	}
 	return out, nil
 }

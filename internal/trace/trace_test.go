@@ -139,21 +139,6 @@ func TestPowerAtWraps(t *testing.T) {
 	}
 }
 
-func TestPowerScaleClone(t *testing.T) {
-	p := &Power{Name: "x", SlotSeconds: 60, Watts: []float64{1, 2}}
-	c := p.Clone()
-	p.Scale(10)
-	if p.Watts[0] != 10 || p.Watts[1] != 20 {
-		t.Errorf("Scale: %v", p.Watts)
-	}
-	if c.Watts[0] != 1 || c.Watts[1] != 2 {
-		t.Errorf("Clone shares storage: %v", c.Watts)
-	}
-	if c.Name != "x" || c.SlotSeconds != 60 {
-		t.Errorf("Clone metadata: %+v", c)
-	}
-}
-
 func TestGenerateArrivals(t *testing.T) {
 	a, err := GenerateArrivals(ArrivalConfig{
 		Name: "google", Seed: 9, Slots: 30 * 24 * 30, SlotSeconds: 120,
@@ -302,88 +287,5 @@ func TestQuickPowerRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSlice(t *testing.T) {
-	p := &Power{Name: "x", SlotSeconds: 60, Watts: []float64{1, 2, 3, 4}}
-	s, err := p.Slice(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.Watts[0] != 2 || s.Watts[1] != 3 {
-		t.Errorf("slice: %v", s.Watts)
-	}
-	s.Watts[0] = 99
-	if p.Watts[1] != 2 {
-		t.Error("slice aliases parent")
-	}
-	for _, bad := range [][2]int{{-1, 2}, {0, 5}, {2, 2}, {3, 1}} {
-		if _, err := p.Slice(bad[0], bad[1]); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("Slice(%v) accepted", bad)
-		}
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := &Power{SlotSeconds: 60, Watts: []float64{1, 2}}
-	b := &Power{SlotSeconds: 60, Watts: []float64{3}}
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 || c.Watts[2] != 3 {
-		t.Errorf("concat: %v", c.Watts)
-	}
-	mismatch := &Power{SlotSeconds: 120, Watts: []float64{9}}
-	if _, err := a.Concat(mismatch); !errors.Is(err, ErrBadTrace) {
-		t.Error("slot mismatch accepted")
-	}
-}
-
-func TestAdd(t *testing.T) {
-	a := &Power{SlotSeconds: 60, Watts: []float64{1, 2, 3, 4}}
-	b := &Power{SlotSeconds: 60, Watts: []float64{10, 20}}
-	c := a.Add(b)
-	want := []float64{11, 22, 13, 24} // b wraps
-	for i, w := range want {
-		if c.Watts[i] != w {
-			t.Errorf("Add[%d] = %v, want %v", i, c.Watts[i], w)
-		}
-	}
-	if a.Watts[0] != 1 {
-		t.Error("Add mutated receiver")
-	}
-}
-
-func TestResample(t *testing.T) {
-	p := &Power{SlotSeconds: 60, Watts: []float64{10, 20, 30, 40}}
-	coarse, err := p.Resample(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.Len() != 2 || coarse.Watts[0] != 15 || coarse.Watts[1] != 35 {
-		t.Errorf("coarsen: %v", coarse.Watts)
-	}
-	fine, err := p.Resample(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.Len() != 8 || fine.Watts[0] != 10 || fine.Watts[1] != 10 || fine.Watts[2] != 20 {
-		t.Errorf("refine: %v", fine.Watts)
-	}
-	same, err := p.Resample(60)
-	if err != nil || same.Len() != 4 {
-		t.Errorf("identity resample: %v %v", same, err)
-	}
-	if _, err := p.Resample(0); !errors.Is(err, ErrBadTrace) {
-		t.Error("zero slot accepted")
-	}
-	if _, err := p.Resample(90); !errors.Is(err, ErrBadTrace) {
-		t.Error("non-divisible slot accepted")
-	}
-	// Energy conservation under coarsening: mean unchanged.
-	if stats.Mean(coarse.Watts) != stats.Mean(p.Watts) {
-		t.Errorf("coarsening changed the mean: %v vs %v", stats.Mean(coarse.Watts), stats.Mean(p.Watts))
 	}
 }

@@ -172,11 +172,6 @@ type Recovery struct {
 	CorruptSnapshots int
 }
 
-// Empty reports a fresh log: no snapshot and nothing to replay.
-func (r *Recovery) Empty() bool {
-	return r == nil || (r.Snapshot == nil && len(r.Records) == 0)
-}
-
 // Log is an append-only segmented write-ahead log. All methods are safe
 // for concurrent use; the append path is allocation-free in steady state
 // (each frame is assembled in a reused buffer and written with one Write).
@@ -638,16 +633,6 @@ func (l *Log) compactLocked() error {
 	l.observeSegments()
 	return nil
 }
-
-// NextSeq returns the sequence the next Append will get.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
-// Policy returns the log's fsync policy.
-func (l *Log) Policy() SyncPolicy { return l.opts.Policy }
 
 // Err returns the sticky I/O error, if any.
 func (l *Log) Err() error {

@@ -24,7 +24,7 @@ func openT(t *testing.T, opts Options) (*Log, *Recovery) {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, rec := openT(t, Options{Dir: dir, Policy: SyncEveryRecord})
-	if !rec.Empty() {
+	if rec.Snapshot != nil || len(rec.Records) != 0 {
 		t.Fatalf("fresh dir not empty: %+v", rec)
 	}
 	for i := 0; i < 10; i++ {
@@ -50,7 +50,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
-	if got := l2.NextSeq(); got != 10 {
+	if got := l2.nextSeq; got != 10 {
 		t.Fatalf("NextSeq = %d, want 10", got)
 	}
 }

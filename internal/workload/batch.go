@@ -90,28 +90,10 @@ func (q *BatchQueue) Drain(slot int, unitsPerSec float64, slotSeconds int) ([]Co
 	return done, nil
 }
 
-// Pending returns the number of queued (unfinished) jobs.
-func (q *BatchQueue) Pending() int { return len(q.jobs) }
-
-// Backlog returns the total remaining work units of jobs that have arrived
-// by the slot.
-func (q *BatchQueue) Backlog(slot int) float64 {
-	sum := 0.0
-	for _, j := range q.jobs {
-		if j.arrival <= slot {
-			sum += j.remaining
-		}
-	}
-	return sum
-}
-
 // Completed returns every finished job in completion order.
 func (q *BatchQueue) Completed() []CompletedJob {
 	return append([]CompletedJob(nil), q.finished...)
 }
-
-// DrainedUnits returns the total work processed so far.
-func (q *BatchQueue) DrainedUnits() float64 { return q.drainedUnits }
 
 // MeanCompletionSlots returns the average T_job over finished jobs (0 when
 // none finished).

@@ -42,8 +42,8 @@ func TestBatchQueueFIFOCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Pending() != 2 || q.Backlog(0) != 240 {
-		t.Fatalf("pending=%d backlog=%v", q.Pending(), q.Backlog(0))
+	if len(q.jobs) != 2 || backlog(&q, 0) != 240 {
+		t.Fatalf("pending=%d backlog=%v", len(q.jobs), backlog(&q, 0))
 	}
 	var all []CompletedJob
 	for slot := 0; slot < 4; slot++ {
@@ -63,14 +63,14 @@ func TestBatchQueueFIFOCompletion(t *testing.T) {
 	if all[1].ID != id1 || all[1].FinishSlot != 3 || all[1].CompletionSlots != 4 {
 		t.Errorf("job1: %+v", all[1])
 	}
-	if q.Pending() != 0 {
-		t.Errorf("pending = %d", q.Pending())
+	if len(q.jobs) != 0 {
+		t.Errorf("pending = %d", len(q.jobs))
 	}
 	if math.Abs(q.MeanCompletionSlots()-3) > 1e-9 {
 		t.Errorf("mean T_job = %v, want 3", q.MeanCompletionSlots())
 	}
-	if math.Abs(q.DrainedUnits()-240) > 1e-9 {
-		t.Errorf("drained = %v", q.DrainedUnits())
+	if math.Abs(q.drainedUnits-240) > 1e-9 {
+		t.Errorf("drained = %v", q.drainedUnits)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestBatchQueueFutureArrivalsWait(t *testing.T) {
 	if len(done) != 0 {
 		t.Error("future job drained early")
 	}
-	if q.Backlog(0) != 0 || q.Backlog(5) != 30 {
-		t.Errorf("backlog: %v / %v", q.Backlog(0), q.Backlog(5))
+	if backlog(&q, 0) != 0 || backlog(&q, 5) != 30 {
+		t.Errorf("backlog: %v / %v", backlog(&q, 0), backlog(&q, 5))
 	}
 	done, err = q.Drain(5, 10, 60)
 	if err != nil {
@@ -153,10 +153,22 @@ func TestQuickBatchQueueConservation(t *testing.T) {
 				return false
 			}
 		}
-		final := q.Backlog(slot + len(rates) + 10)
-		return math.Abs(q.DrainedUnits()+final-submitted) < 1e-6
+		final := backlog(&q, slot+len(rates)+10)
+		return math.Abs(q.drainedUnits+final-submitted) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// backlog returns the total remaining work units of q's jobs that have
+// arrived by the slot.
+func backlog(q *BatchQueue, slot int) float64 {
+	sum := 0.0
+	for _, j := range q.jobs {
+		if j.arrival <= slot {
+			sum += j.remaining
+		}
+	}
+	return sum
 }

