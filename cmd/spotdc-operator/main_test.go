@@ -17,9 +17,10 @@ import (
 
 // TestBinariesEndToEnd drives the real binaries as separate processes — the
 // flag wiring no library test reaches: an operator with durable state, a
-// journal and the inline auditor serves one binary-wire tenant for three
-// slots; spotdc-audit replays the journal clean; a restarted operator
-// recovers the state directory and resumes after the last committed slot.
+// journal, the inline auditor, the emergency responder and a metrics
+// endpoint serves one binary-wire tenant for three slots; spotdc-audit
+// replays the journal clean; a restarted operator recovers the state
+// directory and resumes after the last committed slot.
 func TestBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three binaries and runs ≈ 7 s of wall-clock slots")
@@ -41,7 +42,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 	defer cancel()
 	operatorArgs := func(slots string) []string {
 		return []string{"-listen", "127.0.0.1:0", "-slots", slots, "-slot-seconds", "1",
-			"-state-dir", stateDir, "-events", journal, "-audit"}
+			"-state-dir", stateDir, "-events", journal, "-audit",
+			"-emergency", "-metrics-addr", "127.0.0.1:0"}
 	}
 
 	// First lifetime: three slots with a binary-wire tenant bidding.
@@ -53,8 +55,10 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatalf("spotdc-tenant: %v\n%s", err, out)
 	}
 	op.wait(t)
-	if !strings.Contains(op.log(), "audit clean") {
-		t.Errorf("operator did not report a clean inline audit:\n%s", op.log())
+	for _, want := range []string{"audit clean", "serving metrics on http://127.0.0.1:", "emergency responder: 0 emergencies"} {
+		if !strings.Contains(op.log(), want) {
+			t.Errorf("operator log lacks %q:\n%s", want, op.log())
+		}
 	}
 	events := readJournal(t, journal)
 	if len(events) != 3 {

@@ -1,10 +1,13 @@
 package proto
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
 	"spotdc/internal/power"
 	"spotdc/internal/wal"
@@ -155,5 +158,80 @@ func TestStopChannelEndsAtBoundary(t *testing.T) {
 	}
 	if op.Slots() != 3 {
 		t.Fatalf("operator ran %d slots after stop", op.Slots())
+	}
+}
+
+// errBarrierRefused is the BeforeBids refusal TestBeforeBidsRefusalLeavesNoSlot
+// injects.
+var errBarrierRefused = errors.New("bid barrier refused the slot")
+
+// TestBeforeBidsRefusalLeavesNoSlot pins the barrier contract: a BeforeBids
+// error at slot N ends RunSlots with that error before slot N is drained,
+// cleared, committed or journaled, so the journal holds slots 0..N-1, the
+// WAL recovers to N, and the next lifetime runs slot N from scratch.
+func TestBeforeBidsRefusalLeavesNoSlot(t *testing.T) {
+	const refused = 6
+	dir := t.TempDir()
+	srv, op, topo := loopFixture(t)
+	log, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEverySlot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, err := NewSlotClock(time.Now().Add(10*time.Millisecond), 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	loop := MarketLoop{
+		Server:   srv,
+		Operator: op,
+		Clock:    clock,
+		Reading:  durableReading,
+		RackID:   func(r int) string { return topo.Racks[r].ID },
+		Journal:  metrics.NewJournal(&journal),
+		Durable:  &Durable{Log: log},
+		BeforeBids: func(slot int) error {
+			if slot == refused {
+				return errBarrierRefused
+			}
+			return nil
+		},
+	}
+	cleared, err := loop.RunSlots(0, 3*refused)
+	if !errors.Is(err, errBarrierRefused) {
+		t.Fatalf("RunSlots error = %v, want the barrier's refusal", err)
+	}
+	if cleared != refused || op.Slots() != refused {
+		t.Fatalf("cleared %d, operator ran %d slots; want %d each", cleared, op.Slots(), refused)
+	}
+	if pos, ok := srv.MarketPosition(); !ok || pos != refused-1 {
+		t.Fatalf("server drained through slot %d/%v, want %d: the refused slot's bids were taken", pos, ok, refused-1)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, events, err := metrics.ReadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != refused || events[len(events)-1].Slot != refused-1 {
+		t.Fatalf("journal holds %d events, want slots 0..%d", len(events), refused-1)
+	}
+	reopened, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncEverySlot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	op2, err := operator.New(operator.Config{Topology: topo, MarketOptions: op.MarketOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := RecoverDurable(rec, op2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered.NextSlot != refused {
+		t.Fatalf("WAL recovers to slot %d, want %d", recovered.NextSlot, refused)
 	}
 }

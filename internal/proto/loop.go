@@ -117,8 +117,10 @@ type MarketLoop struct {
 	// BeforeBids, if non-nil, runs after each slot boundary and before the
 	// slot's bids are drained. Deterministic harnesses use it to quiesce
 	// bid arrival (wait for in-flight submissions to land) so that two runs
-	// of the same seed drain identical bid sets.
-	BeforeBids func(slot int)
+	// of the same seed drain identical bid sets. A non-nil error ends
+	// RunSlots with that error before the slot is drained, cleared,
+	// committed or journaled: the slot is left to the next lifetime.
+	BeforeBids func(slot int) error
 	// Tracer, if non-nil, opens one root span per slot with children for
 	// the bid-window drain, the operator's predict/clear/audit stages,
 	// emergency observation, the WAL commit, and the broadcast fan-out
@@ -371,7 +373,8 @@ func collectBudgetResets(op *operator.Operator) map[int]float64 {
 // slots. It returns the number of slots that cleared successfully; slots
 // whose clearing failed degrade to a zero-price broadcast and are counted
 // by SlotErrors. The returned error is non-nil only for configuration
-// errors — per-slot failures never stop the market.
+// errors and for a BeforeBids refusal — per-slot failures never stop the
+// market.
 func (l *MarketLoop) RunSlots(fromSlot, slots int) (int, error) {
 	if err := l.validate(); err != nil {
 		return 0, err
@@ -399,7 +402,11 @@ func (l *MarketLoop) RunSlots(fromSlot, slots int) (int, error) {
 		l.curTrace = root.Context()
 		bd := l.Tracer.StartChild("bid_drain", root)
 		if l.BeforeBids != nil {
-			l.BeforeBids(slot)
+			if err := l.BeforeBids(slot); err != nil {
+				bd.End()
+				root.End()
+				return cleared, err
+			}
 		}
 		// Always drain the slot's bids, even when degraded: collection
 		// advances the acceptance window and prunes the bid map.

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -17,9 +18,9 @@ import (
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
 	"spotdc/internal/otrace"
+	"spotdc/internal/plant"
 	"spotdc/internal/power"
 	"spotdc/internal/proto"
-	"spotdc/internal/rackpdu"
 	"spotdc/internal/tenant"
 )
 
@@ -64,10 +65,9 @@ type NetRunOptions struct {
 	// listed slots, forcing RunSlot to fail so the loop's degradation path
 	// is exercised end to end.
 	ErrorSlots []int
-	// MaxConsecutiveFailures / BreakerCooldownSlots configure the market
-	// loop's circuit breaker (see proto.MarketLoop).
+	// MaxConsecutiveFailures configures the market loop's circuit breaker
+	// (see proto.MarketLoop).
 	MaxConsecutiveFailures int
-	BreakerCooldownSlots   int
 	// Reconnect enables tenant auto-reconnect with backoff (see
 	// proto.ClientOptions).
 	Reconnect bool
@@ -82,9 +82,6 @@ type NetRunOptions struct {
 	// SessionTTL is the server-side half-open session expiry (default
 	// 10×SlotLen).
 	SessionTTL time.Duration
-	// BidWindow is the server's bid acceptance window in slots (default
-	// proto's 16).
-	BidWindow int
 	// Registry, if non-nil, instruments the whole networked plane on one
 	// registry: the market core and operator families (as in Run), plus one
 	// shared proto.Metrics wired into the server, every tenant client, and
@@ -115,11 +112,6 @@ type NetRunOptions struct {
 	// trace-carrying v2 framing. Use a separate tracer (and journal) from
 	// the operator's so the two planes' rings don't contend.
 	TenantTracer *otrace.Tracer
-	// Durable, if non-nil, is threaded into the market loop so every
-	// cleared slot commits to the write-ahead log before its broadcast
-	// (see proto.Durable); with Tracer set, the commit is visible as a
-	// wal_commit child span.
-	Durable *proto.Durable
 }
 
 func (o *NetRunOptions) setDefaults() {
@@ -210,230 +202,204 @@ func netBids(topo *power.Topology, bids []core.Bid) []proto.RackBid {
 	return out
 }
 
-// netPlant is the operator side of a networked run — what NetRun builds
-// once and CrashNetRun rebuilds for every operator lifetime: the operator
-// (plus, with the emergency loop armed, one emulated intelligent PDU per
-// rack and the responder that resets their budgets), both fault injectors,
-// the protocol server, and the seeded reference reading the market loop
-// polls.
-type netPlant struct {
-	sc    Scenario
-	opts  NetRunOptions
-	aud   *core.Auditor
-	op    *operator.Operator
-	units []*rackpdu.PDU
-	srv   *proto.Server
+// netConfig validates a networked run, fills in the options' defaults, and
+// returns the plant every operator lifetime of the run builds: the
+// scenario's market on a loopback listener, with the run's instrumentation
+// and, when armed, its emergency responder.
+func netConfig(sc Scenario, opts *NetRunOptions) (plant.Config, error) {
+	if err := sc.validate(); err != nil {
+		return plant.Config{}, err
+	}
+	opts.setDefaults()
+	cfg := plant.Config{
+		Topology:               sc.Topo,
+		MarketOptions:          sc.MarketOptions,
+		Pricing:                sc.Pricing,
+		Predict:                sc.Predict,
+		OtherLoad:              sc.OtherLoad,
+		SlotLen:                opts.SlotLen,
+		Registry:               opts.Registry,
+		Tracer:                 opts.Tracer,
+		Audit:                  opts.Audit,
+		Listen:                 "127.0.0.1:0",
+		SessionTTL:             opts.SessionTTL,
+		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
+		// Logf stays nil: faults are expected here, the server is quiet by
+		// default, and the metrics carry the signal.
+	}
+	if em := opts.Emergency; em != nil {
+		if em.OverloadPDU < 0 || em.OverloadPDU >= len(sc.Topo.PDUs) {
+			return cfg, fmt.Errorf("sim: emergency OverloadPDU %d of %d", em.OverloadPDU, len(sc.Topo.PDUs))
+		}
+		cfg.Emergency = true
+		cfg.EscalationSeverity = em.EscalationSeverity
+		cfg.RecoverySlots = em.RecoverySlots
+		cfg.ResetDelay = em.ResetDelay
+		// The run's tolerance, else the scenario's, else the testbed
+		// breakers' 5%.
+		for _, tol := range []float64{em.BreakerTolerance, sc.BreakerTolerance, 0.05} {
+			if cfg.BreakerTolerance == 0 {
+				cfg.BreakerTolerance = tol
+			}
+		}
+	}
+	return cfg, nil
+}
+
+// lifetime is one operator lifetime of a networked run, slots [from, to):
+// NetRun is one, CrashNetRun one per kill plus the last. expect, if
+// non-nil, arms the bid barrier; budgets, if non-nil, are the rack PDU
+// budgets the previous lifetime left; kill ends the lifetime with
+// Plant.Kill instead of Plant.Close.
+type lifetime struct {
+	from, to int
+	expect   []int
+	budgets  []float64
+	kill     bool
+}
+
+// runLifetime builds one operator lifetime through plant.Open, adds what
+// only the harness has — the fault injectors, the poisoned and surge slots
+// on top of the reference reading, the feasibility re-check, the bid
+// barrier — and runs the scenario's tenants against it. It returns the
+// lifetime's counters and its plant, already closed or killed.
+func runLifetime(sc Scenario, opts NetRunOptions, cfg plant.Config, lt lifetime) (*NetResult, *plant.Plant, error) {
 	// bidInj wraps tenant→operator writes (tenants dial through it),
 	// bcastInj operator→tenant writes; inactive plans pass through.
-	bidInj, bcastInj *proto.FaultInjector
-	protoMetrics     *proto.Metrics
-	// infeasible counts broadcast allocations failing the independent
-	// VerifyFeasible re-check.
-	infeasible int
-}
-
-// newNetPlant builds the operator side up to a listening server; the caller
-// owns closing p.srv.
-func newNetPlant(sc Scenario, opts NetRunOptions) (*netPlant, error) {
-	p := &netPlant{opts: opts}
-	var opMetrics *operator.Metrics
-	var rpm *rackpdu.Metrics
-	if opts.Registry != nil {
-		sc.MarketOptions.Metrics = core.NewMarketMetrics(opts.Registry)
-		opMetrics = operator.NewMetrics(opts.Registry)
-		p.protoMetrics = proto.NewMetrics(opts.Registry)
-	}
-	if opts.Audit {
-		p.aud = &core.Auditor{}
-		sc.MarketOptions.Audit = p.aud
-	}
-	p.sc = sc
-	topo := sc.Topo
-	opCfg := operator.Config{
-		Topology:      topo,
-		MarketOptions: sc.MarketOptions,
-		Pricing:       sc.Pricing,
-		Predict:       sc.Predict,
-		Metrics:       opMetrics,
-		Tracer:        opts.Tracer,
-	}
-	// With the emergency loop armed, every rack gets an emulated intelligent
-	// PDU: the responder's budget resets land there, and the unit's budget is
-	// the authoritative physical cap on what the rack can draw.
-	if em := opts.Emergency; em != nil {
-		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
-			return nil, fmt.Errorf("sim: emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
-		}
-		if opts.Registry != nil {
-			rpm = rackpdu.NewMetrics(opts.Registry)
-		}
-		p.units = make([]*rackpdu.PDU, len(topo.Racks))
-		for i, r := range topo.Racks {
-			unit, err := rackpdu.New(rackpdu.Config{
-				ID:          r.ID,
-				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
-				ResetDelay:  em.ResetDelay,
-				Metrics:     rpm,
-			})
-			if err != nil {
-				return nil, err
-			}
-			p.units[i] = unit
-		}
-		opCfg.Emergency = &operator.ResponderConfig{
-			EscalationSeverity: em.EscalationSeverity,
-			RecoverySlots:      em.RecoverySlots,
-			SetBudget: func(rack int, budgetWatts float64) error {
-				return p.units[rack].SetBudget(budgetWatts)
-			},
-		}
-	}
-	var err error
-	if p.op, err = operator.New(opCfg); err != nil {
-		return nil, err
-	}
-	if p.bidInj, err = proto.NewFaultInjector(opts.BidFaults); err != nil {
-		return nil, err
-	}
-	if p.bcastInj, err = proto.NewFaultInjector(opts.BroadcastFaults); err != nil {
-		return nil, err
-	}
-	p.bidInj.SetMetrics(p.protoMetrics)
-	p.bcastInj.SetMetrics(p.protoMetrics)
-	p.srv, err = proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
-		return topo.RackByID(id)
-	}, proto.ServerOptions{
-		SessionTTL: opts.SessionTTL,
-		BidWindow:  opts.BidWindow,
-		// Rack ownership: a tenant may only register (and bid for) its own
-		// racks — without this, any connected tenant could claim another's
-		// headroom.
-		OwnerOf:  func(i int) string { return topo.Racks[i].Tenant },
-		WrapConn: p.bcastInj.Wrap,
-		Metrics:  p.protoMetrics,
-		Tracer:   opts.Tracer,
-		// Logf stays nil: faults are expected here, the server is quiet by
-		// default, and the metrics above carry the signal.
-	})
+	bidInj, err := proto.NewFaultInjector(opts.BidFaults)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p, nil
+	bcastInj, err := proto.NewFaultInjector(opts.BroadcastFaults)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.WrapConn = bcastInj.Wrap
+	p, err := plant.Open(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	bidInj.SetMetrics(p.Metrics)
+	bcastInj.SetMetrics(p.Metrics)
+	if err := handBudgets(p, lt); err != nil {
+		p.Kill()
+		return nil, nil, err
+	}
+	loop := p.Loop
+	if opts.Journal != nil {
+		loop.Journal = opts.Journal
+	}
+	loop.Reading = faultyReading(sc, opts, p)
+	loop.FaultCounts = func() (drops, delays, severs int64) {
+		b, c := bidInj.Stats(), bcastInj.Stats()
+		return b.Drops + c.Drops, b.Delays + c.Delays, b.Severs + c.Severs
+	}
+	res := &NetResult{Slots: lt.to - lt.from, Tenants: make(map[string]*NetTenantStats, len(sc.Agents))}
+	loop.OnSlot = func(slot int, out operator.SlotOutcome, bids int) {
+		if err := loop.Operator.VerifyFeasible(out.Result.Allocations); err != nil {
+			res.InfeasibleSlots++
+		}
+	}
+	if lt.expect != nil {
+		loop.BeforeBids = bidBarrier(loop, lt.expect)
+	}
+
+	// One bidding goroutine per agent, seeded by its index.
+	var wg sync.WaitGroup
+	stats := make([]*NetTenantStats, len(sc.Agents))
+	for idx, a := range sc.Agents {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[idx] = runNetTenant(a, sc.Topo, loop.Server.Addr(), loop.Clock, lt.from, lt.to, bidInj, p.Metrics, opts, int64(idx))
+		}()
+	}
+	cleared, runErr := loop.RunSlots(lt.from, lt.to-lt.from)
+	wg.Wait()
+	if runErr != nil {
+		p.Close() // the run already failed; the drain's own errors add nothing
+		return nil, nil, runErr
+	}
+	for _, st := range stats {
+		res.Tenants[st.Name] = st
+	}
+	op := loop.Operator
+	res.Cleared = cleared
+	res.SlotErrors = loop.SlotErrors()
+	res.BreakerTripped = loop.BreakerTripped()
+	res.BidFaults = bidInj.Stats()
+	res.BroadcastFaults = bcastInj.Stats()
+	res.ReapedSessions = loop.Server.ReapedSessions()
+	res.SpotRevenue = op.SpotRevenue()
+	if cfg.Emergency {
+		res.EmergencySlots = op.EmergencySlots()
+		res.EmergenciesActed = op.EmergenciesActed()
+		res.ReclaimedWatts = op.ReclaimedWatts()
+		res.GuaranteedCutWatts = op.GuaranteedCutWatts()
+		res.InvoluntaryCuts = op.InvoluntaryCuts()
+		for _, u := range p.Units {
+			res.BudgetResets += u.Resets()
+		}
+	}
+	if lt.kill {
+		p.Kill()
+		return res, p, nil
+	}
+	if err := errors.Join(p.Close()); err != nil {
+		return nil, nil, err
+	}
+	return res, p, nil
 }
 
-// marketLoop wires the plant into a market loop on the given clock; callers
-// add what differs between harnesses (journal, WAL, bid barrier).
-func (p *netPlant) marketLoop(clock *proto.SlotClock) *proto.MarketLoop {
-	sc, opts, topo := p.sc, p.opts, p.sc.Topo
-	// Reference reading: racks at 75% of their guarantee, non-participants
-	// from their traces; ErrorSlots poison the snapshot with NaN so
-	// RunSlot fails and the loop must degrade.
+// handBudgets checks that the plant resumed where the harness expects and
+// sets its rack PDUs to the budgets the previous lifetime left them at.
+func handBudgets(p *plant.Plant, lt lifetime) error {
+	if next := p.Recovered.NextSlot; next != lt.from {
+		return fmt.Errorf("recovered to slot %d, harness expected %d", next, lt.from)
+	}
+	if lt.budgets != nil && len(lt.budgets) != len(p.Units) {
+		return fmt.Errorf("handed %d rack budgets for %d racks", len(lt.budgets), len(p.Units))
+	}
+	for i, b := range lt.budgets {
+		if err := p.Units[i].SetBudget(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// faultyReading wraps the plant's reference reading with the run's
+// injected slots: ErrorSlots poison the snapshot with NaN so RunSlot fails
+// and the loop must degrade, and the emergency OverloadSlots add
+// OverloadRackWatts to every rack under OverloadPDU, still capped at the
+// rack PDU's budget.
+func faultyReading(sc Scenario, opts NetRunOptions, p *plant.Plant) func(slot int) power.Reading {
+	reference := p.Loop.Reading
 	errorSlot := make(map[int]bool, len(opts.ErrorSlots))
 	for _, s := range opts.ErrorSlots {
 		errorSlot[s] = true
 	}
 	surgeSlot := make(map[int]bool)
-	if opts.Emergency != nil {
-		for _, s := range opts.Emergency.OverloadSlots {
+	em := opts.Emergency
+	if em != nil {
+		for _, s := range em.OverloadSlots {
 			surgeSlot[s] = true
 		}
 	}
-	rackWatts := make([]float64, len(topo.Racks))
-	for i, r := range topo.Racks {
-		rackWatts[i] = 0.75 * r.Guaranteed
-	}
-	otherWatts := make([]float64, len(topo.PDUs))
-	reading := func(slot int) power.Reading {
+	return func(slot int) power.Reading {
+		rd := reference(slot)
 		if errorSlot[slot] {
-			return power.Reading{
-				RackWatts:     []float64{math.NaN()},
-				OtherPDUWatts: otherWatts,
-			}
+			return power.Reading{RackWatts: []float64{math.NaN()}, OtherPDUWatts: rd.OtherPDUWatts}
 		}
-		for m := range otherWatts {
-			otherWatts[m] = sc.OtherLoad[m].At(slot)
-		}
-		if em := opts.Emergency; em != nil {
-			// Offered load (reference + surge), capped at the rack PDU's
-			// current budget — the physical enforcement of a reclaim plan.
-			for i, r := range topo.Racks {
-				w := 0.75 * r.Guaranteed
-				if surgeSlot[slot] && r.PDU == em.OverloadPDU {
-					w += em.OverloadRackWatts
+		if surgeSlot[slot] {
+			for i, r := range sc.Topo.Racks {
+				if r.PDU == em.OverloadPDU {
+					rd.RackWatts[i] = math.Min(rd.RackWatts[i]+em.OverloadRackWatts, p.Units[i].Budget())
 				}
-				if b := p.units[i].Budget(); w > b {
-					w = b
-				}
-				rackWatts[i] = w
 			}
 		}
-		return power.Reading{RackWatts: rackWatts, OtherPDUWatts: otherWatts}
+		return rd
 	}
-	loop := &proto.MarketLoop{
-		Server:                 p.srv,
-		Operator:               p.op,
-		Clock:                  clock,
-		Reading:                reading,
-		RackID:                 func(i int) string { return topo.Racks[i].ID },
-		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
-		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
-		Tracer:                 opts.Tracer,
-		FaultCounts: func() (drops, delays, severs int64) {
-			b, c := p.bidInj.Stats(), p.bcastInj.Stats()
-			return b.Drops + c.Drops, b.Delays + c.Delays, b.Severs + c.Severs
-		},
-		OnSlot: func(slot int, out operator.SlotOutcome, bids int) {
-			if err := p.op.VerifyFeasible(out.Result.Allocations); err != nil {
-				p.infeasible++
-			}
-		},
-	}
-	if em := opts.Emergency; em != nil {
-		tol := em.BreakerTolerance
-		if tol == 0 {
-			tol = sc.BreakerTolerance
-		}
-		if tol == 0 {
-			tol = 0.05
-		}
-		loop.CheckEmergencies = true
-		loop.BreakerTolerance = tol
-	}
-	return loop
-}
-
-// runTenants starts one bidding goroutine per agent for slots [from, to);
-// the returned wait blocks until all have finished and yields their stats
-// in agent order.
-func (p *netPlant) runTenants(clock *proto.SlotClock, from, to int) (wait func() []*NetTenantStats) {
-	var wg sync.WaitGroup
-	stats := make([]*NetTenantStats, len(p.sc.Agents))
-	for idx, a := range p.sc.Agents {
-		wg.Add(1)
-		go func(idx int, a tenant.Agent) {
-			defer wg.Done()
-			stats[idx] = runNetTenant(a, p.sc.Topo, p.srv.Addr(), clock, from, to, p.bidInj, p.protoMetrics, p.opts, int64(idx))
-		}(idx, a)
-	}
-	return func() []*NetTenantStats {
-		wg.Wait()
-		return stats
-	}
-}
-
-// audit is the post-run half of NetRunOptions.Audit: no inline clearing
-// violation and books that reconcile.
-func (p *netPlant) audit() error {
-	if !p.opts.Audit {
-		return nil
-	}
-	if n := p.aud.Violations(); n > 0 {
-		return fmt.Errorf("audit found %d clearing violation(s): %w", n, p.aud.Err())
-	}
-	if err := p.op.ReconcileAccounts(); err != nil {
-		return fmt.Errorf("audit: %w", err)
-	}
-	return nil
 }
 
 // NetRun executes the scenario's market over real TCP connections with the
@@ -442,64 +408,17 @@ func (p *netPlant) audit() error {
 // slot and awaits the price broadcast, pacing itself by the shared slot
 // clock so a missed broadcast costs exactly one slot. Agents' Execute
 // feedback is not replayed into the readings — racks are referenced at 75%
-// of their guarantee, as in the spotdc-operator demo — because the harness
-// exists to stress the transport, not the workload models.
+// of their guarantee, as in spotdc-operator — because the harness exists
+// to stress the transport, not the workload models.
 //
 // testhook: the networked smokes, the audit replay and the root smoke tests drive it
 func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
-	if err := sc.validate(); err != nil {
-		return nil, err
-	}
-	opts.setDefaults()
-	p, err := newNetPlant(sc, opts)
+	cfg, err := netConfig(sc, &opts)
 	if err != nil {
 		return nil, err
 	}
-	defer p.srv.Close()
-
-	clock, err := proto.NewSlotClock(time.Now().Add(2*opts.SlotLen), opts.SlotLen)
-	if err != nil {
-		return nil, err
-	}
-	loop := p.marketLoop(clock)
-	loop.Journal = opts.Journal
-	loop.Durable = opts.Durable
-
-	res := &NetResult{
-		Slots:   sc.Slots,
-		Tenants: make(map[string]*NetTenantStats, len(sc.Agents)),
-	}
-	wait := p.runTenants(clock, 0, sc.Slots)
-	cleared, runErr := loop.RunSlots(0, sc.Slots)
-	for _, st := range wait() {
-		res.Tenants[st.Name] = st
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	op := p.op
-	res.Cleared = cleared
-	res.SlotErrors = loop.SlotErrors()
-	res.BreakerTripped = loop.BreakerTripped()
-	res.InfeasibleSlots = p.infeasible
-	res.BidFaults = p.bidInj.Stats()
-	res.BroadcastFaults = p.bcastInj.Stats()
-	res.ReapedSessions = p.srv.ReapedSessions()
-	res.SpotRevenue = op.SpotRevenue()
-	if opts.Emergency != nil {
-		res.EmergencySlots = op.EmergencySlots()
-		res.EmergenciesActed = op.EmergenciesActed()
-		res.ReclaimedWatts = op.ReclaimedWatts()
-		res.GuaranteedCutWatts = op.GuaranteedCutWatts()
-		res.InvoluntaryCuts = op.InvoluntaryCuts()
-		for _, u := range p.units {
-			res.BudgetResets += u.Resets()
-		}
-	}
-	if err := p.audit(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return res, nil
+	res, _, err := runLifetime(sc, opts, cfg, lifetime{to: sc.Slots})
+	return res, err
 }
 
 // runNetTenant is one tenant's bidding loop over the wire for slots
@@ -517,7 +436,7 @@ func runNetTenant(a tenant.Agent, topo *power.Topology, addr string, clock *prot
 	}
 	wire := opts.Wire
 	if opts.WireFor != nil {
-		// seed is the agent index (see the NetRun fan-out), so WireFor can
+		// seed is the agent index (see runLifetime), so WireFor can
 		// mix encodings per tenant within one market.
 		wire = opts.WireFor(int(seed))
 	}

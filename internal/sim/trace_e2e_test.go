@@ -2,7 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func (ix spanIndex) childNames(root otrace.SpanRecord) map[string]int {
 func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 	sc := testbedScenario(t, TestbedOptions{Seed: 17, Slots: 220})
 
-	var opSpans, tenSpans, journal bytes.Buffer
+	var opSpans, tenSpans bytes.Buffer
 	// SlowPercentile off keeps the span set a pure function of the fault
 	// schedule (no wall-clock-dependent latency upgrades); SampleEvery 1
 	// is the acceptance regime — every slot's trace publishes.
@@ -65,14 +66,12 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 		SampleEvery: 1, Seed: 43, SlowPercentile: -1, RingCapacity: 8192, Journal: &tenSpans,
 	})
 
-	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncEverySlot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-
+	// A crash run with no kills is one durable lifetime: every slot commits
+	// to the WAL, so the wal_commit span shows on every slot.
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
 	const degradedSlot = 60
-	res, err := NetRun(sc, NetRunOptions{
+	res, err := CrashNetRun(sc, NetRunOptions{
 		SlotLen:    15 * time.Millisecond,
 		ErrorSlots: []int{degradedSlot},
 		// Half the tenants speak binary frames (v2 trace negotiation),
@@ -83,10 +82,13 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 			}
 			return proto.WireJSON
 		},
-		Journal:      metrics.NewJournal(&journal),
 		Tracer:       opTracer,
 		TenantTracer: tenTracer,
-		Durable:      &proto.Durable{Log: log, SnapshotEvery: 32},
+	}, CrashRunOptions{
+		StateDir:      filepath.Join(dir, "state"),
+		JournalPath:   journal,
+		Policy:        wal.SyncEverySlot,
+		SnapshotEvery: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +97,12 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 		t.Fatalf("cleared %d / errors %d, want %d / 1", res.Cleared, res.SlotErrors, sc.Slots-1)
 	}
 
-	hdr, events, err := metrics.ReadJournal(strings.NewReader(journal.String()))
+	jf, err := os.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	hdr, events, err := metrics.ReadJournal(jf)
 	if err != nil {
 		t.Fatal(err)
 	}
