@@ -5,15 +5,14 @@
 // Usage:
 //
 //	spotdc-experiments [-seed N] [-long-slots N] [-scale-slots N] [-all] \
-//	    [-workers N] [-parallel] [-emergency] \
+//	    [-workers N] [-emergency] \
 //	    [-cpuprofile f] [-memprofile f] [-trace f] [-pprof-addr host:port] \
 //	    [id ...]
 //
 // Parallelism: -workers caps the scenario fan-out pool each experiment uses
-// for its independent simulation runs (0 = GOMAXPROCS, 1 = serial), and
-// -parallel additionally enables intra-slot agent parallelism inside every
-// simulation. Both knobs are bit-reproducible: the same seed produces the
-// same reports at any worker count.
+// for its independent simulation runs (0 = GOMAXPROCS, 1 = serial). Each
+// simulation runs on one goroutine, so the same seed produces the same
+// reports at any worker count.
 //
 // Profiling: -cpuprofile/-memprofile/-trace write pprof / execution-trace
 // files covering the experiment runs; -pprof-addr serves net/http/pprof for
@@ -60,7 +59,6 @@ func run() error {
 	all := flag.Bool("all", false, "run every experiment")
 	outDir := flag.String("out", "", "also write each report to <dir>/<id>.txt")
 	workers := flag.Int("workers", 0, "scenario fan-out workers (0 = GOMAXPROCS, 1 = serial)")
-	parallel := flag.Bool("parallel", false, "enable intra-slot agent parallelism (bit-identical to serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -75,7 +73,7 @@ func run() error {
 
 	opt := experiments.Options{
 		Seed: *seed, LongSlots: *longSlots, ScaleSlots: *scaleSlots,
-		Workers: *workers, Parallel: *parallel, Audit: *auditRuns,
+		Workers: *workers, Audit: *auditRuns,
 	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" {

@@ -116,7 +116,7 @@ func ablRation(opt Options) (*Report, error) {
 	cells := make([]string, 2*len(counts)) // [2i] strict, [2i+1] rationed
 	err := par.ForErr(opt.Workers, len(cells), func(k int) error {
 		n := counts[k/2]
-		tb := sim.TestbedOptions{Seed: opt.Seed, Slots: opt.ScaleSlots, Parallel: opt.Parallel}
+		tb := sim.TestbedOptions{Seed: opt.Seed, Slots: opt.ScaleSlots}
 		sc, e := sim.Scaled(sim.ScaledOptions{Testbed: tb, Tenants: n, JitterFrac: 0.2})
 		if e != nil {
 			return e

@@ -38,12 +38,9 @@ func demoTrace(opt Options) sim.TestbedOptions {
 	}
 }
 
-// runTestbed runs the Table I scenario in the given mode, threading the
-// suite-level intra-slot parallelism knob (Options.Parallel) into the
-// simulator. Parallel simulation is bit-identical to serial, so enabling it
-// never changes a report.
+// runTestbed runs the Table I scenario in the given mode with the suite's
+// instrumentation, audit and tracing options.
 func runTestbed(opt Options, tb sim.TestbedOptions, mode sim.Mode, record bool) (*sim.Result, error) {
-	tb.Parallel = tb.Parallel || opt.Parallel
 	sc, err := sim.Testbed(tb)
 	if err != nil {
 		return nil, err
@@ -489,7 +486,7 @@ func fig18(opt Options) (*Report, error) {
 	runs := make([]*sim.Result, 2*len(counts)) // [2i] spot, [2i+1] capped
 	err := par.ForErr(opt.Workers, 2*len(counts), func(k int) error {
 		n := counts[k/2]
-		tb := sim.TestbedOptions{Seed: opt.Seed, Slots: opt.ScaleSlots, Parallel: opt.Parallel}
+		tb := sim.TestbedOptions{Seed: opt.Seed, Slots: opt.ScaleSlots}
 		sc, e := sim.Scaled(sim.ScaledOptions{Testbed: tb, Tenants: n, JitterFrac: 0.2})
 		if e != nil {
 			return e

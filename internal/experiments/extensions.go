@@ -46,7 +46,7 @@ func extEmergency(opt Options) (*Report, error) {
 	}
 	results := make([]*sim.Result, 2)
 	err := par.ForErr(opt.Workers, 2, func(i int) error {
-		sc, e := sim.Testbed(sim.TestbedOptions{Seed: opt.Seed, Slots: slots, Parallel: opt.Parallel})
+		sc, e := sim.Testbed(sim.TestbedOptions{Seed: opt.Seed, Slots: slots})
 		if e != nil {
 			return e
 		}
@@ -94,11 +94,9 @@ func extPredictor(opt Options) (*Report, error) {
 		}
 		// EWMA regime: tenants predict the next price from realized
 		// prices. The predictor state is private to this scenario; the
-		// simulator calls Hint/PriceFeedback once per slot on the slot
-		// loop's goroutine, so intra-slot agent parallelism never races it.
+		// simulator calls Hint/PriceFeedback once per slot.
 		ewmaTB := base
 		ewmaTB.Policy = tenant.PolicyPricePredict
-		ewmaTB.Parallel = opt.Parallel
 		sc, e := sim.Testbed(ewmaTB)
 		if e != nil {
 			return e
@@ -331,7 +329,7 @@ func extFaults(opt Options) (*Report, error) {
 			capped = res
 			return e
 		}
-		sc, e := sim.Testbed(sim.TestbedOptions{Seed: opt.Seed, Slots: slots, Parallel: opt.Parallel})
+		sc, e := sim.Testbed(sim.TestbedOptions{Seed: opt.Seed, Slots: slots})
 		if e != nil {
 			return e
 		}

@@ -21,8 +21,8 @@ func benchSizedOptions() Options {
 // TestFanOutDeterminism is the reproducibility contract of the scenario
 // fan-out: for the same seed, every report must be cell-for-cell identical
 // whether its scenarios run serially (Workers=1) or concurrently
-// (Workers=4, with intra-slot agent parallelism on top). fig7b is excluded
-// because its rows record wall-clock clearing times.
+// (Workers=4). fig7b is excluded because its rows record wall-clock
+// clearing times.
 func TestFanOutDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -31,7 +31,6 @@ func TestFanOutDeterminism(t *testing.T) {
 	serialOpt.Workers = 1
 	parOpt := benchSizedOptions()
 	parOpt.Workers = 4
-	parOpt.Parallel = true
 
 	reports, err := RunAll(parOpt)
 	if err != nil {

@@ -113,10 +113,6 @@ type Options struct {
 	// Result ordering is deterministic regardless of the setting — every
 	// runner writes results by index, never by completion order.
 	Workers int
-	// Parallel additionally enables the simulator's intra-slot agent
-	// parallelism (sim.Scenario.Parallel) for every scenario an experiment
-	// builds. Parallel runs are bit-identical to serial ones.
-	Parallel bool
 	// Registry, if non-nil, instruments every simulation an experiment
 	// runs on one shared metrics registry (registration is idempotent, so
 	// the concurrent suite fan-out aggregates onto the same families).

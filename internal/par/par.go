@@ -1,14 +1,13 @@
-// Package par provides the bounded worker-pool primitives shared by the
-// parallel simulation engine: experiment scenario fan-out
-// (internal/experiments), intra-slot agent parallelism (internal/sim) and
-// parallel candidate verification (internal/core).
+// Package par provides the bounded worker pool behind the experiment
+// scenario fan-out (internal/experiments): every independent simulation an
+// experiment needs runs as one work item.
 //
 // The contract every caller relies on: work item i is identified by its
 // index, callers write results into slot i of a pre-sized slice, and the
 // pool imposes no ordering between items — so a parallel run is
 // bit-identical to a serial run as long as the per-index work is
-// independent. Worker counts resolve through Workers (0 ⇒ GOMAXPROCS), and
-// a resolved count of 1 (or a single item) runs inline on the calling
+// independent. A worker count of 0 (or less) resolves to GOMAXPROCS, and a
+// resolved count of 1 (or a single item) runs inline on the calling
 // goroutine with no scheduling overhead at all.
 package par
 
@@ -21,11 +20,11 @@ import (
 )
 
 // poolMetrics is the package's optional instrumentation, installed once via
-// EnableMetrics and read with one atomic pointer load per parallel For. It
-// deliberately observes only pool-level events (dispatches, items, worker
-// occupancy) — never per-item work — so instrumentation cannot perturb the
-// engine's bit-identical determinism contract, and inline (workers ≤ 1)
-// paths stay untouched.
+// EnableMetrics and read with one atomic pointer load per parallel dispatch.
+// It deliberately observes only pool-level events (dispatches, items,
+// worker occupancy) — never per-item work — so instrumentation cannot
+// perturb the fan-out's bit-identical determinism contract, and inline
+// (workers ≤ 1) runs stay untouched.
 type poolMetrics struct {
 	dispatches *metrics.Counter
 	items      *metrics.Counter
@@ -36,45 +35,55 @@ var pool atomic.Pointer[poolMetrics]
 
 // EnableMetrics registers the worker-pool families on r and installs them
 // process-wide (the pool is shared package state, so its instrumentation is
-// too). Subsequent parallel For calls count dispatches and items and track
-// live worker occupancy on spotdc_par_active_workers.
+// too). Subsequent parallel ForErr dispatches count dispatches and items and
+// track live worker occupancy on spotdc_par_active_workers.
 func EnableMetrics(r *metrics.Registry) {
 	pool.Store(&poolMetrics{
 		dispatches: r.Counter("spotdc_par_dispatches_total",
-			"Parallel For dispatches (inline runs with one worker are not counted)."),
+			"Parallel ForErr dispatches (inline runs with one worker are not counted)."),
 		items: r.Counter("spotdc_par_items_total",
-			"Work items executed by parallel For dispatches."),
+			"Work items executed by parallel ForErr dispatches."),
 		active: r.Gauge("spotdc_par_active_workers",
-			"Currently live worker goroutines across all parallel For dispatches."),
+			"Currently live worker goroutines across all parallel ForErr dispatches."),
 	})
 }
 
-// Workers resolves a worker-count knob: n <= 0 means runtime.GOMAXPROCS(0),
-// anything else is returned unchanged.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// For runs fn(i) for every i in [0, n) on a pool of at most workers
-// goroutines (resolved via Workers). Indices are handed out dynamically
-// (work stealing via an atomic counter), so uneven item costs balance
-// across workers. It returns once every call has completed.
+// ForErr runs fn(i) for every i in [0, n) on a pool of at most workers
+// goroutines (workers <= 0 means runtime.GOMAXPROCS(0)). Indices are handed
+// out dynamically through an atomic counter, so uneven item costs balance
+// across workers. Every call runs to completion (no cancellation — items
+// are independent scenarios whose partial results the caller discards on
+// error anyway), and ForErr returns the error of the lowest-indexed failing
+// call, so the reported error is deterministic regardless of scheduling.
 //
-// workers <= 1 after resolution, or n <= 1, runs inline on the caller's
+// A resolved worker count of 1, or n <= 1, runs inline on the caller's
 // goroutine.
-func For(workers, n int, fn func(i int)) {
-	workers = Workers(workers)
+func ForErr(workers, n int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
+	var (
+		mu      sync.Mutex
+		firstI  = n
+		firstEr error
+	)
+	record := func(i int, err error) {
+		mu.Lock()
+		if i < firstI {
+			firstI, firstEr = i, err
+		}
+		mu.Unlock()
+	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if err := fn(i); err != nil {
+				record(i, err)
+			}
 		}
-		return
+		return firstEr
 	}
 	pm := pool.Load()
 	if pm != nil {
@@ -93,7 +102,9 @@ func For(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				if err := fn(i); err != nil {
+					record(i, err)
+				}
 			}
 		}()
 	}
@@ -101,27 +112,5 @@ func For(workers, n int, fn func(i int)) {
 	if pm != nil {
 		pm.active.Add(-float64(workers))
 	}
-}
-
-// ForErr is For with error collection: it runs every call to completion
-// (no cancellation — items are independent scenarios whose partial results
-// the caller discards on error anyway) and returns the error of the
-// lowest-indexed failing call, so the reported error is deterministic
-// regardless of scheduling.
-func ForErr(workers, n int, fn func(i int) error) error {
-	var (
-		mu      sync.Mutex
-		firstI  = n
-		firstEr error
-	)
-	For(workers, n, func(i int) {
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if i < firstI {
-				firstI, firstEr = i, err
-			}
-			mu.Unlock()
-		}
-	})
 	return firstEr
 }

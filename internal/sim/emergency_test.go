@@ -115,35 +115,6 @@ func TestEmergencyNilIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEmergencyParallelMatchesSerial extends the bit-identity guarantee of
-// Scenario.Parallel to the emergency path: surge injection, capping, and
-// responder state all run on the slot goroutine.
-func TestEmergencyParallelMatchesSerial(t *testing.T) {
-	serial, err := Run(emergencyTestbed(t, true), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psc := emergencyTestbed(t, true)
-	psc.Parallel = true
-	parallel, err := Run(psc, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.EmergencySlots != parallel.EmergencySlots ||
-		serial.EmergenciesActed != parallel.EmergenciesActed ||
-		serial.ReclaimedWatts != parallel.ReclaimedWatts ||
-		serial.LongestEmergencyRun != parallel.LongestEmergencyRun {
-		t.Errorf("parallel diverged: %d/%d/%v/%d vs %d/%d/%v/%d",
-			serial.EmergencySlots, serial.EmergenciesActed, serial.ReclaimedWatts, serial.LongestEmergencyRun,
-			parallel.EmergencySlots, parallel.EmergenciesActed, parallel.ReclaimedWatts, parallel.LongestEmergencyRun)
-	}
-	for i := range serial.UPSPower {
-		if serial.UPSPower[i] != parallel.UPSPower[i] {
-			t.Fatalf("slot %d UPS power %v vs %v", i, serial.UPSPower[i], parallel.UPSPower[i])
-		}
-	}
-}
-
 // TestNetRunEmergencyReclaimsAndRecovers drives the whole emergency loop
 // over real TCP: an injected three-slot overload at PDU#1 must trigger
 // exactly one detected excursion, budget resets must land in the emulated

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"spotdc/internal/tenant"
@@ -16,6 +17,63 @@ func TestBidLossValidation(t *testing.T) {
 	sc.BidLossProb = 1.5
 	if _, err := Run(sc, RunOptions{}); err == nil {
 		t.Error("loss prob >1 accepted")
+	}
+}
+
+// scrub zeroes the Result fields that legitimately differ between two runs
+// of one scenario: ClearingTime is wall time, and Operator is a live object
+// whose observable outputs (revenue, prices, grants) are already captured in
+// the Result series.
+func scrub(r *Result) {
+	r.ClearingTime = 0
+	r.Operator = nil
+}
+
+// TestBidLossIsSeeded pins the per-agent fault streams on the testbed and
+// the scaled scenario: bids are really lost, the same FaultSeed reproduces
+// the whole Result, and a different FaultSeed draws a different loss pattern.
+func TestBidLossIsSeeded(t *testing.T) {
+	cases := []struct {
+		name     string
+		scenario func(t *testing.T) Scenario
+		lossProb float64
+	}{
+		{"testbed", func(t *testing.T) Scenario {
+			return testbedScenario(t, TestbedOptions{Seed: 7, Slots: 120})
+		}, 0.10},
+		{"scaled", func(t *testing.T) Scenario {
+			sc, err := Scaled(ScaledOptions{Testbed: TestbedOptions{Seed: 3, Slots: 60}, Tenants: 48})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sc
+		}, 0.05},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(faultSeed int64) *Result {
+				t.Helper()
+				sc := c.scenario(t)
+				sc.BidLossProb = c.lossProb
+				sc.FaultSeed = faultSeed
+				res, err := Run(sc, RunOptions{Mode: ModeSpotDC, Record: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scrub(res)
+				return res
+			}
+			first, again, other := run(99), run(99), run(100)
+			if first.LostBids == 0 {
+				t.Fatalf("fault injection inert: 0 lost bids at probability %v", c.lossProb)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Error("two runs with the same FaultSeed diverged")
+			}
+			if other.LostBids == first.LostBids && reflect.DeepEqual(other.PriceSeries, first.PriceSeries) {
+				t.Errorf("FaultSeed 100 reproduced FaultSeed 99 (%d lost bids, same prices)", first.LostBids)
+			}
+		})
 	}
 }
 

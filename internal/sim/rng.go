@@ -2,14 +2,12 @@ package sim
 
 // Per-agent deterministic randomness for fault injection.
 //
-// The slot loop used to draw bid-loss variates from one shared *rand.Rand
-// in agent order, which welds the random sequence to the iteration order —
-// exactly what intra-slot agent parallelism breaks. Instead, every agent
-// owns an independent splitmix64 stream derived from the scenario
-// FaultSeed and the agent's index, and draws exactly one variate per
-// SpotDC slot. The randomness an agent consumes is then a pure function of
-// (FaultSeed, agent index, slot), so parallel and serial slot loops are
-// bit-identical regardless of goroutine scheduling.
+// Every agent owns an independent splitmix64 stream derived from the
+// scenario FaultSeed and the agent's index, and draws exactly one variate
+// per SpotDC slot. The randomness an agent consumes is then a pure function
+// of (FaultSeed, agent index, slot) rather than of the order the slot loop
+// visits agents in, and the golden experiment output (ext-faults' lost
+// bids) is pinned to these streams.
 
 // splitmix64Gamma is Steele et al.'s golden-ratio increment.
 const splitmix64Gamma = 0x9E3779B97F4A7C15

@@ -50,9 +50,6 @@ type TestbedOptions struct {
 	UnderPrediction float64
 	// Hint supplies strategic bidders' market information (Fig. 16).
 	Hint func(slot int) tenant.MarketHint
-	// Parallel enables the simulator's intra-slot agent parallelism
-	// (Scenario.Parallel): bit-identical to serial, faster on multi-core.
-	Parallel bool
 }
 
 func (o *TestbedOptions) setDefaults() {
@@ -137,7 +134,6 @@ func Testbed(opt TestbedOptions) (Scenario, error) {
 		Predict:          power.PredictOptions{UnderPredictionFactor: opt.UnderPrediction},
 		BreakerTolerance: 0.05,
 		Hint:             opt.Hint,
-		Parallel:         opt.Parallel,
 	}, nil
 }
 
@@ -396,7 +392,6 @@ func Scaled(opt ScaledOptions) (Scenario, error) {
 		Predict:          power.PredictOptions{UnderPredictionFactor: opt.Testbed.UnderPrediction},
 		BreakerTolerance: 0.05,
 		Hint:             opt.Testbed.Hint,
-		Parallel:         opt.Testbed.Parallel,
 	}
 	return sc, nil
 }

@@ -16,7 +16,6 @@ import (
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
 	"spotdc/internal/otrace"
-	"spotdc/internal/par"
 	"spotdc/internal/power"
 	"spotdc/internal/stats"
 	"spotdc/internal/tenant"
@@ -97,14 +96,6 @@ type Scenario struct {
 	// splitmix64 stream from (FaultSeed, agent index), so the randomness an
 	// agent consumes is independent of iteration order (see rng.go).
 	FaultSeed int64
-	// Parallel runs the per-agent work of every slot — PlanBids /
-	// MaxPerfRequests, Execute, and per-tenant stats accumulation — on a
-	// GOMAXPROCS-bounded worker pool instead of a serial loop. Results are
-	// bit-identical to a serial run: each agent's slot work is independent
-	// (per-agent fault streams, agent-owned scratch), and every cross-agent
-	// merge (bid order, rack readings, slot series, billing) happens
-	// serially in agent order either way.
-	Parallel bool
 }
 
 // EmergencyScenario parameterizes the simulator's emergency-loop harness:
@@ -368,8 +359,12 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 	if opts.Record {
 		res.TenantTraces = make(map[string][]float64, len(sc.Agents))
 	}
-	for _, a := range sc.Agents {
+	// agentStats[i] is agent i's entry in res.Tenants, so the slot loop
+	// indexes instead of hashing a name per agent per slot.
+	agentStats := make([]*TenantStats, len(sc.Agents))
+	for i, a := range sc.Agents {
 		ts := &TenantStats{Name: a.Name(), Class: a.Class()}
+		agentStats[i] = ts
 		for _, r := range a.Racks() {
 			ts.Reserved += a.ReservedWatts(r)
 		}
@@ -401,20 +396,6 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 			faults[i] = newFaultStream(sc.FaultSeed, i)
 		}
 	}
-	// workers for the per-agent phases: 1 pins the pool to the calling
-	// goroutine (a plain loop), 0 resolves to GOMAXPROCS.
-	workers := 1
-	if sc.Parallel {
-		workers = 0
-	}
-	// Per-agent slot scratch, reused across slots: the parallel phases
-	// write each agent's results into its own slot, and the serial merge
-	// reads them back in agent order.
-	perAgent := make([]agentSlot, len(sc.Agents))
-	tsByIdx := make([]*TenantStats, len(sc.Agents))
-	for i, a := range sc.Agents {
-		tsByIdx[i] = res.Tenants[a.Name()]
-	}
 	var traces [][]float64
 	if opts.Record {
 		traces = make([][]float64, len(sc.Agents))
@@ -438,27 +419,15 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 
 		switch opts.Mode {
 		case ModeSpotDC:
-			// Plan phase (parallel across agents): draw the agent's fault
-			// variate and plan its bids. The merge below is serial in agent
-			// order, so the submitted bid order matches a serial run.
-			par.For(workers, len(sc.Agents), func(i int) {
-				as := &perAgent[i]
-				as.bids, as.lost = nil, false
+			bids = bids[:0]
+			for i, a := range sc.Agents {
 				if faults != nil && faults[i].Float64() < sc.BidLossProb {
 					// Communication loss: the submission never arrives and
 					// the tenant defaults to no spot capacity this slot.
-					as.lost = true
-					return
-				}
-				as.bids = sc.Agents[i].PlanBids(slot, hint)
-			})
-			bids = bids[:0]
-			for i := range perAgent {
-				if perAgent[i].lost {
 					res.LostBids++
 					continue
 				}
-				bids = append(bids, perAgent[i].bids...)
+				bids = append(bids, a.PlanBids(slot, hint)...)
 			}
 			root := opts.Tracer.StartRoot("slot", slot)
 			if root != nil {
@@ -503,12 +472,9 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 				}
 			}
 		case ModeMaxPerf:
-			par.For(workers, len(sc.Agents), func(i int) {
-				perAgent[i].reqs = sc.Agents[i].MaxPerfRequests(slot)
-			})
 			reqs = reqs[:0]
-			for i := range perAgent {
-				reqs = append(reqs, perAgent[i].reqs...)
+			for _, a := range sc.Agents {
+				reqs = append(reqs, a.MaxPerfRequests(slot)...)
 			}
 			allocs, spot, err := op.MaxPerfSlot(reqs, reading)
 			if err != nil {
@@ -527,19 +493,19 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 			return nil, fmt.Errorf("sim: unknown mode %v", opts.Mode)
 		}
 
-		// Execute phase (parallel across agents): run every agent's slot and
-		// accumulate its per-tenant stats — each agent touches only its own
-		// TenantStats and trace row, so the accumulation order (and hence
-		// every floating-point sum) is identical to a serial run.
+		// Execute every agent's slot in agent order, accumulating its
+		// per-tenant stats and folding its draw into the realized rack
+		// reading (later agents win shared racks).
 		for m := range sc.Topo.PDUs {
 			reading.OtherPDUWatts[m] = sc.OtherLoad[m].At(slot)
 		}
-		par.For(workers, len(sc.Agents), func(i int) {
-			a := sc.Agents[i]
+		for i, a := range sc.Agents {
 			needed := len(a.MaxPerfRequests(slot)) > 0
-			slotRes := a.Execute(slot, grants) // grants is read-only here
-			perAgent[i].res = slotRes
-			ts := tsByIdx[i]
+			slotRes := a.Execute(slot, grants)
+			for rack, w := range slotRes.PowerByRack {
+				reading.RackWatts[rack] = w
+			}
+			ts := agentStats[i]
 			ts.EnergyKWh += slotRes.PowerWatts / 1000 * slotHours
 			ts.SpotKWh += slotRes.SpotGrantWatts / 1000 * slotHours
 			if slotRes.SpotGrantWatts > 0 {
@@ -561,21 +527,14 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 			if opts.Record {
 				traces[i] = append(traces[i], slotRes.PerfScore)
 			}
-		})
-		// Serial merge in agent order: assemble the realized rack reading
-		// (later agents win shared racks, exactly as the serial loop did).
-		for i := range perAgent {
-			for rack, w := range perAgent[i].res.PowerByRack {
-				reading.RackWatts[rack] = w
-			}
 		}
 
 		if sc.PriceFeedback != nil {
 			sc.PriceFeedback(slot, price)
 		}
 		if emr != nil {
-			// Overload surge and tenant-side capping run on the slot
-			// goroutine, so serial and parallel runs stay bit-identical.
+			// Overload surge and tenant-side capping act on the merged
+			// reading, after every agent has executed.
 			emr.apply(slot, reading)
 		}
 		if em := op.ObserveEmergencies(reading, sc.BreakerTolerance); len(em) > 0 {
@@ -732,18 +691,6 @@ func (e *emergencyRunner) absorb(op *operator.Operator) {
 			}
 		}
 	}
-}
-
-// agentSlot is one agent's per-slot scratch: the parallel phases write
-// into it, the serial merges read it back in agent order.
-type agentSlot struct {
-	// bids / lost carry the plan phase (ModeSpotDC).
-	bids []core.Bid
-	lost bool
-	// reqs carries the MaxPerf plan phase.
-	reqs []core.MaxPerfRequest
-	// res carries the execute phase.
-	res tenant.SlotResult
 }
 
 // TenantCost computes a tenant's total cost over the run in dollars:

@@ -105,11 +105,11 @@ type SlotResult struct {
 // deterministic: the same slot always produces the same bids and results.
 //
 // Concurrency and ownership: one agent is never called from two goroutines
-// at once, but distinct agents may run concurrently (the simulator's
-// intra-slot parallelism), so implementations must not share mutable state
-// across agents. The slices and maps returned by PlanBids and Execute may
-// be backed by agent-owned scratch buffers: they are valid only until the
-// agent's next PlanBids/Execute call, and callers that retain them must
+// at once, but distinct agents may run concurrently (the experiment fan-out
+// runs several scenarios at once), so implementations must not share mutable
+// state across agents. The slices and maps returned by PlanBids and Execute
+// may be backed by agent-owned scratch buffers: they are valid only until
+// the agent's next PlanBids/Execute call, and callers that retain them must
 // copy (the simulator and the protocol client both consume them within the
 // slot).
 type Agent interface {

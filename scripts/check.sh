@@ -8,8 +8,9 @@
 #   4. go test -race -count=1 ./...   every test once, under the race
 #      detector and uncached. That includes the concurrency-heavy protocol
 #      and networked-simulator suites, the parallel exact-clearing engine
-#      (internal/core/clear_exact.go), the serial-vs-parallel determinism
-#      contracts (TestParallelMatchesSerial, TestFanOutDeterminism), and
+#      (internal/core/clear_exact.go), the scenario fan-out determinism
+#      contract (TestFanOutDeterminism; the golden diff TestAllMatchesGolden
+#      skips itself under -race and runs in the tier-1 `go test ./...`), and
 #      the end-to-end smokes that also have make targets: the live
 #      /metrics scrape (smoke-metrics), the Section III-C emergency arc
 #      (smoke-emergency), the seeded audit replay through both engines
